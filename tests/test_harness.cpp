@@ -2,6 +2,7 @@
 // are sane, and the headline comparative shapes already show at small scale.
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "harness/runner.hpp"
 
 namespace jenga::harness {
@@ -91,6 +92,52 @@ TEST(RunnerShapes, TransfersFasterThanContracts) {
   const auto rc = run_experiment(contracts);
   EXPECT_EQ(rt.stats.committed + rt.stats.aborted, 120u);
   EXPECT_LT(rt.latency_s, rc.latency_s);  // Fig. 3b's gap, latency view
+}
+
+// Golden digests: two small open-loop runs pinned to hex values, so a change
+// that is meant to leave behaviour alone (memory layout, ownership, what gets
+// attached to the network) can be checked against earlier revisions, not just
+// against itself.  A deliberate behaviour change updates these values.
+RunConfig golden_run(SystemKind kind) {
+  RunConfig cfg = small_run(kind);
+  cfg.contract_txs = 90;
+  cfg.transfer_txs = 30;
+  cfg.arrival.mode = workload::ArrivalMode::kPoisson;
+  cfg.arrival.rate_tps = 30.0;
+  cfg.mempool.capacity = 64;
+  cfg.max_inflight = 128;
+  return cfg;
+}
+
+struct GoldenDigests {
+  const char* ledger;
+  const char* state;
+  const char* admission;
+};
+
+void expect_golden(SystemKind kind, const GoldenDigests& want) {
+  const RunResult r = run_experiment(golden_run(kind));
+  ASSERT_TRUE(r.ingress.enabled);
+  EXPECT_EQ(r.stats.committed + r.stats.aborted, r.stats.submitted);
+  EXPECT_GT(r.stats.committed, 100u);
+  EXPECT_EQ(to_hex(r.ledger_digest), want.ledger);
+  EXPECT_EQ(to_hex(r.state_digest), want.state);
+  EXPECT_EQ(to_hex(r.ingress.admission_digest), want.admission);
+}
+
+TEST(GoldenDigests, JengaOpenLoopContractsAndTransfers) {
+  expect_golden(SystemKind::kJenga,
+                {"40c11d9ff6bb4f4623503e274fc9239a20246a95794c482cfd1959b7354372d3",
+                 "7c50c0bbac2ca8f9796af0e05d482b27af307ee47214ba9903bcf75ff5a5a5c1",
+                 "c90ec037eee522504d1d369fe19c78b73236acbf0cefe8719b298eae28b171b7"});
+}
+
+TEST(GoldenDigests, CxFuncOpenLoop) {
+  // Baselines leave the state digest at zero (RunResult::state_digest).
+  expect_golden(SystemKind::kCxFunc,
+                {"255c1464e8db49971c4cf676492eb3de5ef5630acde97b037a361a35881e1acb",
+                 "0000000000000000000000000000000000000000000000000000000000000000",
+                 "c90ec037eee522504d1d369fe19c78b73236acbf0cefe8719b298eae28b171b7"});
 }
 
 }  // namespace
