@@ -103,14 +103,17 @@ BaselineSystem::BaselineSystem(sim::Simulator& sim, sim::Network& net, BaselineC
 BaselineSystem::~BaselineSystem() = default;
 
 void BaselineSystem::place_contracts() {
+  // The initial states move into the stores: genesis_ lives for the whole
+  // run, and a copy kept there would double the contracts' set-up memory.
   for (std::size_t c = 0; c < genesis_.contracts.size(); ++c) {
     const ContractId id = genesis_.contracts[c]->id;
     const ShardId s = home_of_contract(id);
     shards_[s.value]->store.create_contract_state(
-        id, c < genesis_.initial_states.size() ? genesis_.initial_states[c]
+        id, c < genesis_.initial_states.size() ? std::move(genesis_.initial_states[c])
                                                : ledger::ContractState{});
     shards_[s.value]->logic.add(genesis_.contracts[c]);
   }
+  genesis_.initial_states = {};
 }
 
 void BaselineSystem::start() {

@@ -202,6 +202,8 @@ class BaselineSystem {
   sim::Network& net_;
   BaselineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Kept until the concrete constructor calls place_contracts(), which moves
+  /// the initial states out.
   Genesis genesis_;
   /// Batch execution engine shared by every shard's decide path.
   std::unique_ptr<exec::Engine> exec_engine_;

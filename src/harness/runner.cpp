@@ -73,7 +73,9 @@ RunResult run_experiment(const RunConfig& config) {
   workload::TraceGenerator gen(config.trace, Rng(config.seed ^ 0x7ACE));
   sim::Simulator sim;
   sim::Network net(sim, config.net, Rng(config.seed ^ 0x9E7));
-  const core::Genesis genesis = make_genesis(gen);
+  // Moved into the system under test, which moves each contract's initial
+  // state into its shard store: no copy of the genesis outlives set-up.
+  core::Genesis genesis = make_genesis(gen);
 
   // Always-on telemetry: passive recording, bit-identical runs.
   auto telemetry = std::make_shared<telemetry::Telemetry>();
@@ -115,7 +117,7 @@ RunResult run_experiment(const RunConfig& config) {
                     : config.kind == SystemKind::kJengaNoLattice
                         ? core::Pipeline::kNoLattice
                         : core::Pipeline::kNoGlobalLogic;
-      jenga = std::make_unique<core::JengaSystem>(sim, net, jc, genesis);
+      jenga = std::make_unique<core::JengaSystem>(sim, net, jc, std::move(genesis));
       break;
     }
     default: {
@@ -129,11 +131,12 @@ RunResult run_experiment(const RunConfig& config) {
       bc.merge_span =
           config.merge_span != 0 ? config.merge_span : std::max(2u, config.num_shards / 4);
       if (config.kind == SystemKind::kCxFunc) {
-        baseline = std::make_unique<baselines::CxFuncSystem>(sim, net, bc, genesis);
+        baseline = std::make_unique<baselines::CxFuncSystem>(sim, net, bc, std::move(genesis));
       } else if (config.kind == SystemKind::kSingleShard) {
-        baseline = std::make_unique<baselines::SingleShardSystem>(sim, net, bc, genesis);
+        baseline =
+            std::make_unique<baselines::SingleShardSystem>(sim, net, bc, std::move(genesis));
       } else {
-        baseline = std::make_unique<baselines::PyramidSystem>(sim, net, bc, genesis);
+        baseline = std::make_unique<baselines::PyramidSystem>(sim, net, bc, std::move(genesis));
       }
       break;
     }
@@ -149,21 +152,20 @@ RunResult run_experiment(const RunConfig& config) {
   const std::uint64_t initial_balance =
       jenga ? jenga->total_account_balance() : baseline->total_account_balance();
 
-  // Failure detection (DESIGN.md §14): sampling on every kind is pure
-  // bookkeeping; actuation arms only when a fault plan runs (clean runs are
-  // bit-identical with self_healing on or off).
+  // Failure detection (DESIGN.md §14): the detector exists only where it can
+  // act — a Jenga kind with self_healing on and a fault plan to react to —
+  // and is armed from the start.  Everywhere else no detector is built, so
+  // clean runs neither pay for its per-link sampling nor change behaviour.
   std::unique_ptr<security::FailureDetector> detector;
-  if (config.self_healing) {
+  if (config.self_healing && config.faults_plan.event_count() > 0 && jenga) {
     detector = std::make_unique<security::FailureDetector>(sim, config.detector);
+    detector->arm(true);
     net.set_arrival_observer(detector.get());
   }
 
   if (jenga) {
     jenga->set_telemetry(telemetry.get());
-    if (detector) {
-      jenga->set_failure_detector(detector.get());
-      if (config.faults_plan.event_count() > 0) detector->arm(true);
-    }
+    if (detector) jenga->set_failure_detector(detector.get());
     jenga->start();
   } else {
     baseline->set_telemetry(telemetry.get());
@@ -237,8 +239,10 @@ RunResult run_experiment(const RunConfig& config) {
     // Arrivals already scheduled by the client.
   } else if (config.closed_loop_window > 0) {
     // Closed loop: a pacer keeps `window` transactions outstanding.
+    // It reaches itself through a weak_ptr, so the pending event owns it and
+    // it dies with the simulator instead of keeping itself alive.
     auto pacer = std::make_shared<std::function<void()>>();
-    *pacer = [&, pacer, submit_one, total] {
+    *pacer = [&, self = std::weak_ptr(pacer), submit_one, total] {
       const auto& s = stats();
       const std::size_t completed = s.committed + s.aborted;
       const std::size_t outstanding = s.submitted - completed;
@@ -248,7 +252,7 @@ RunResult run_experiment(const RunConfig& config) {
       while (can-- > 0 && s.submitted < total) submit_one();
       if (stats().submitted < total ||
           stats().committed + stats().aborted < total)
-        sim.schedule_after(200 * kMillisecond, [pacer] { (*pacer)(); });
+        sim.schedule_after(200 * kMillisecond, [p = self.lock()] { (*p)(); });
     };
     sim.schedule_at(0, [pacer] { (*pacer)(); });
   } else {
@@ -382,13 +386,9 @@ RunResult run_experiment(const RunConfig& config) {
     reg.counter("net.faults.gray_dropped").set(result.faults.gray_dropped);
   if (detector) {
     result.detector = detector->stats();
-    // Folded only when actuation armed: a clean detector-on snapshot must be
-    // byte-identical to a detector-off one.
-    if (detector->armed()) {
-      reg.counter("detector.samples").set(result.detector.samples);
-      reg.counter("detector.suspicions").set(result.detector.suspicions);
-      reg.counter("detector.recoveries").set(result.detector.recoveries);
-    }
+    reg.counter("detector.samples").set(result.detector.samples);
+    reg.counter("detector.suspicions").set(result.detector.suspicions);
+    reg.counter("detector.recoveries").set(result.detector.recoveries);
   }
   {
     const core::CertVerifyStats& cc = result.cert_checks;

@@ -122,10 +122,10 @@ struct RunConfig {
   security::FaultPlan faults_plan;
 
   // --- Self-healing (DESIGN.md §14) ---------------------------------------
-  /// Attach the phi-accrual failure detector (every kind; sampling is pure
-  /// bookkeeping).  Its actuation — adaptive view timeouts, hotter pull
-  /// repair, hedged 2PC legs — arms only when `faults_plan` is non-empty, so
-  /// clean runs stay bit-identical with this on or off.
+  /// Attach an armed phi-accrual failure detector when `faults_plan` is
+  /// non-empty (Jenga kinds): adaptive view timeouts, hotter pull repair,
+  /// hedged 2PC legs.  Clean runs and baselines get no detector, so they stay
+  /// bit-identical with this on or off.
   bool self_healing = true;
   security::DetectorConfig detector;
   /// Stuck-2PC recovery ladder knobs (Jenga kinds; see core/recovery.hpp).
@@ -175,8 +175,8 @@ struct RunResult {
   std::uint64_t epoch_txs_requeued = 0;
   /// Recovery-time state sync counters (all 0 unless model_state_sync).
   core::StateSyncStats state_sync;
-  /// Failure-detector activity (all 0 unless self_healing; suspicions stay 0
-  /// unless a fault plan armed actuation).
+  /// Failure-detector activity (all 0 unless self_healing on a faulted Jenga
+  /// run, the only runs that build a detector).
   security::DetectorStats detector;
   /// Stuck-2PC recovery-ladder activity (Jenga kinds; all 0 in clean runs).
   core::RecoveryStats recovery;

@@ -14,15 +14,18 @@
 // suspected leader, the 2PC coordinator hedges its unicast legs, and the rumor
 // mesh tightens its pull-repair cadence when the whole network looks degraded.
 //
-// Actuation is gated on `armed()`: sampling always runs, but the advisory
-// outputs (view_timeout / pull_cadence / suspect transitions) only deviate
-// from their static defaults once a chaos plan arms the detector.  This is the
-// simulation-determinism compromise: inter-arrival statistics over bursty
-// protocol traffic inevitably cross any finite threshold during legitimate
-// quiet periods, and a spurious deviation in a clean run would break the
-// bit-identity contract every subsystem here is held to.  Faulted runs are
-// exactly the runs that arm a plan, so the detect -> react loop is live
-// precisely when there is something to react to.
+// Actuation is gated on `armed()`: an attached detector samples whether armed
+// or not, but the advisory outputs (view_timeout / pull_cadence / suspect
+// transitions) only deviate from their static defaults once a chaos plan arms
+// it.  This is the simulation-determinism compromise: inter-arrival
+// statistics over bursty protocol traffic inevitably cross any finite
+// threshold during legitimate quiet periods, and a spurious deviation in a
+// clean run would break the bit-identity contract every subsystem here is
+// held to.  Faulted runs are exactly the runs that arm a plan, so the
+// detect -> react loop is live precisely when there is something to react to.
+// Because unarmed samples drive nothing, harness::run_experiment builds a
+// detector only for faulted runs (arming it at once); its per-link rings are
+// too large to keep for runs that cannot use them.
 #pragma once
 
 #include <cstdint>

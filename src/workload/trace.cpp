@@ -57,6 +57,9 @@ std::shared_ptr<const vm::ContractLogic> TraceGenerator::generate_contract(Contr
   logic->id = id;
   const auto num_fns = static_cast<std::uint32_t>(
       rng_.uniform_int(config_.functions_min, config_.functions_max));
+  // Bytecode is most of a run's set-up memory: size every vector exactly
+  // rather than letting push_back leave doubling slack behind.
+  logic->functions.reserve(num_fns);
   for (std::uint32_t f = 0; f < num_fns; ++f) {
     vm::Function fn;
     fn.name = "fn" + std::to_string(f);
@@ -64,8 +67,10 @@ std::shared_ptr<const vm::ContractLogic> TraceGenerator::generate_contract(Contr
         rng_.uniform_int(config_.function_length_min, config_.function_length_max));
     // Emit repeated read-modify-write stanzas over this contract's own keys;
     // each stanza is 6 instructions, so the body really exercises storage.
-    std::uint32_t emitted = 0;
-    while (emitted + 6 < len) {
+    // As many whole stanzas as fit below `len`, then the return.
+    const std::uint32_t stanzas = len > 0 ? (len - 1) / 6 : 0;
+    fn.code.reserve(6 * std::size_t{stanzas} + 1);
+    for (std::uint32_t s = 0; s < stanzas; ++s) {
       const std::uint64_t key = rng_.uniform(16);
       fn.code.push_back({Op::kPush, key});                    // store key
       fn.code.push_back({Op::kPush, key});                    // load key
@@ -73,7 +78,6 @@ std::shared_ptr<const vm::ContractLogic> TraceGenerator::generate_contract(Contr
       fn.code.push_back({Op::kPush, rng_.uniform(1000) + 1});
       fn.code.push_back({Op::kAdd, 0});
       fn.code.push_back({Op::kSstore, 0});
-      emitted += 6;
     }
     fn.code.push_back({Op::kReturn, 0});
     logic->functions.push_back(std::move(fn));

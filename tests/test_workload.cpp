@@ -28,6 +28,21 @@ TEST(Trace, ContractsGeneratedWithRealCode) {
   }
 }
 
+// Bytecode dominates set-up memory, so the generator leaves no spare
+// capacity behind: whole 6-instruction stanzas plus the return.
+TEST(Trace, BytecodeSizedExactly) {
+  auto gen = make_gen();
+  const TraceConfig& cfg = gen.config();
+  for (const auto& c : gen.contracts()) {
+    EXPECT_EQ(c->functions.capacity(), c->functions.size());
+    for (const auto& f : c->functions) {
+      EXPECT_EQ(f.code.capacity(), f.code.size());
+      EXPECT_EQ(f.code.size() % 6, 1u);
+      EXPECT_LE(f.code.size(), cfg.function_length_max);
+    }
+  }
+}
+
 TEST(Trace, TrendsRampWithHeight) {
   auto gen = make_gen();
   EXPECT_LT(gen.expected_contract_ratio(0), gen.expected_contract_ratio(1'000'000));
