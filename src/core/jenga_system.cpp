@@ -98,9 +98,6 @@ struct ContinuationPayload : sim::Payload {
   [[nodiscard]] std::uint32_t wire_size() const { return 128 + gathered.wire_size(); }
 };
 
-/// Content-derived dedup identity of a relayed protocol message: every
-/// subgroup relay of the same certified outcome computes the same id, so in
-/// rumor mode their spreads merge into one (DESIGN.md §12).
 /// Type-salted pool-dedup key for a parked grant batch (results use their
 /// already-mixed result_dedup key; the salt keeps the two spaces apart).
 std::uint64_t grant_park_key(std::uint64_t key) {
@@ -108,6 +105,9 @@ std::uint64_t grant_park_key(std::uint64_t key) {
   return splitmix64(state);
 }
 
+/// Content-derived dedup identity of a relayed protocol message: every
+/// subgroup relay of the same certified outcome computes the same id, so in
+/// rumor mode their spreads merge into one (DESIGN.md §12).
 std::uint64_t relay_rumor_id(const sim::Message& msg) {
   switch (msg.type) {
     case sim::MsgType::kStateGrant: {
@@ -129,6 +129,19 @@ std::uint64_t relay_rumor_id(const sim::Message& msg) {
     default:
       return sim::rumor_id_mix(static_cast<std::uint64_t>(msg.type), msg.size_bytes);
   }
+}
+
+/// Leg 2 of a subgroup relay (kNoGlobalLogic): a member of subgroup(target,
+/// channel) rebroadcasts the message inside the target shard, hop spent.
+template <class P>
+void rebroadcast_in_shard(sim::Network& net, NodeId node, const std::vector<NodeId>& shard,
+                          const sim::Message& msg) {
+  auto fp = std::make_shared<P>(sim::payload_as<P>(msg));
+  fp->hops = 0;
+  sim::Message fwd = msg;
+  fwd.payload = std::move(fp);
+  net.broadcast(sim::BroadcastKind::kRelay, node, shard, relay_rumor_id(fwd), fwd,
+                sim::TrafficClass::kIntraShard);
 }
 
 }  // namespace
@@ -169,6 +182,7 @@ struct GatherUnit {
   std::unordered_set<Hash256> expired_dead;
   std::unordered_set<std::uint64_t> late_abort_sent;  // (tx, source) answer dedup
   std::uint64_t late_abort_seq = 0;  // synthetic batch heights for the answers
+  std::unordered_set<std::uint64_t> grant_dedup;  // grant batches ingested, by relay_intake key
 
   void finish(const Hash256& h) {
     pending.erase(h);
@@ -176,10 +190,17 @@ struct GatherUnit {
   }
 
   /// finish() for an entry whose tx never arrived: remember it so late grants
-  /// still get an abort answer instead of being swallowed by `done`.
-  void finish_dead(const Hash256& h) {
+  /// still get an abort answer instead of being swallowed by `done`.  Returns
+  /// the shards that granted, sorted (the abort's fallback targets).
+  std::vector<std::uint32_t> finish_dead(const Hash256& h) {
+    std::vector<std::uint32_t> sources;
+    if (const auto it = pending.find(h); it != pending.end()) {
+      sources.assign(it->second.reported.begin(), it->second.reported.end());
+      std::sort(sources.begin(), sources.end());
+    }
     expired_dead.insert(h);
     finish(h);
+    return sources;
   }
 
   void on_tx(const TxPtr& tx, std::size_t expected, SimTime now) {
@@ -262,8 +283,7 @@ struct JengaSystem::ShardEngine {
   /// Abort fees waiting for the sender's account lock to clear (charging
   /// while another tx holds the account would be lost to that tx's commit).
   std::deque<std::pair<AccountId, std::uint64_t>> deferred_abort_fees;
-  std::unordered_set<std::uint64_t> grant_dedup;   // (source<<32|height) keys
-  std::unordered_set<std::uint64_t> result_dedup;  // (source<<32|height) keys
+  std::unordered_set<std::uint64_t> result_dedup;  // result batches ingested, by relay_intake key
   /// 2PC destination-side recovery records, keyed by attempt-scoped hashes
   /// (twopc_key).  `twopc_credited`: the credit of that (tx, attempt) was
   /// applied — a probe re-sends the lost ack instead of re-crediting.
@@ -287,7 +307,6 @@ struct JengaSystem::ShardEngine {
 struct JengaSystem::ChannelEngine {
   ChannelId id;
   GatherUnit gather;
-  std::unordered_set<std::uint64_t> grant_dedup;
   std::uint64_t next_process_height = 0;
   struct Outcome {
     std::vector<std::pair<ShardId, sim::Message>> to_shards;
@@ -295,6 +314,44 @@ struct JengaSystem::ChannelEngine {
   std::unordered_map<std::uint64_t, Outcome> outcomes;
 
   explicit ChannelEngine(ChannelId c) : id(c) {}
+};
+
+/// One decision's execution results, batched per target shard so each
+/// (decision, target) pair is exactly one message.
+struct JengaSystem::ResultBatches {
+  ChannelId source;  // the deciding group (a shard id outside kFull)
+  std::uint64_t height = 0;
+  std::uint64_t epoch = 0;
+  const consensus::QuorumCert& cert;
+  std::map<std::uint32_t, ResultBatchPayload> by_target;
+
+  void add(ShardId target, const ExecResult& result) {
+    auto& batch = by_target[target.value];
+    batch.source = source;
+    batch.channel_height = height;
+    batch.epoch = epoch;
+    batch.target = target;
+    batch.cert = cert;
+    batch.results.push_back(result);
+  }
+  void add(const std::vector<ShardId>& targets, const ExecResult& result) {
+    for (ShardId target : targets) add(target, result);
+  }
+};
+
+/// Where a grant or result batch lands at one node: the receiving group, the
+/// engine dedup set that records the batch and its key there, its verify
+/// pool, and the certificate to check.  `seen == nullptr`: the handler drops
+/// the batch unread (stale epoch, or the node only witnesses it).
+struct JengaSystem::RelayIntake {
+  std::unordered_set<std::uint64_t>* seen = nullptr;
+  std::uint64_t key = 0;
+  std::uint32_t group = 0;     // execution site (grants) or target shard (results)
+  std::uint64_t pool_tag = 0;  // the receiving group's tag
+  std::uint64_t park_key = 0;  // dedup key inside that pool
+  const consensus::QuorumCert* cert = nullptr;
+  bool channel_cert = false;  // certified by a channel (else by a shard)
+  std::uint32_t cert_group = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -689,6 +746,23 @@ void JengaSystem::relay_gossip(NodeId node, const std::vector<NodeId>& group,
   }
 }
 
+void JengaSystem::relay_outcome(NodeId node, const std::vector<NodeId>& group, sim::Message msg) {
+  msg.from = node;
+  if (batcher_ != nullptr) {
+    // Rumor mode: coalesce every relay this node owes the group within one
+    // aligned window into a single framed rumor (one spread, one pooled
+    // certificate verification on each receiver).
+    const std::uint64_t id = relay_rumor_id(msg);
+    batcher_->enqueue(node, group, id, std::move(msg), sim::TrafficClass::kIntraShard);
+    return;
+  }
+  // Gossip rather than unicast-to-all: batches carry whole contract states,
+  // and a fanout tree spreads the serialization load across the group instead
+  // of saturating each subgroup member's uplink.
+  relay_gossip(node, group, msg);
+  on_node_message(node, msg);
+}
+
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
@@ -740,28 +814,39 @@ void JengaSystem::submit(TxPtr tx) {
   msg.type = sim::MsgType::kClientTx;
   msg.size_bytes = tx->wire_size();
   msg.payload = std::move(payload);
+  send_to_contacts(*tx, msg);
+}
 
-  if (tx->kind == TxKind::kTransfer) {
-    // Traditional 2PC path starts at the sender's shard only.
-    net_.client_send(shard_contact(ledger::shard_of_account(tx->sender, config_.num_shards)),
-                     msg);
-    // The tracker counts both shards; same-shard transfers count one.
+std::uint32_t JengaSystem::exec_site(const Transaction& tx) const {
+  switch (config_.pipeline) {
+    case Pipeline::kFull:
+      return ledger::channel_of_tx(tx.hash, config_.num_shards).value;
+    case Pipeline::kNoLattice:
+      return static_cast<std::uint32_t>(tx.hash.prefix_u64() % config_.num_shards);
+    case Pipeline::kNoGlobalLogic:
+      return ledger::shard_of_contract(tx.contracts[tx.steps.front().contract_slot],
+                                       config_.num_shards)
+          .value;
+  }
+  return 0;
+}
+
+GatherUnit& JengaSystem::site_gather(std::uint32_t site) {
+  return config_.pipeline == Pipeline::kFull ? channels_[site]->gather : shards_[site]->gather;
+}
+
+void JengaSystem::send_to_contacts(const Transaction& tx, const sim::Message& msg) {
+  if (tx.kind == TxKind::kTransfer) {
+    // Traditional 2PC path starts at the sender's shard only (the tracker
+    // counts both shards; same-shard transfers count one).
+    net_.client_send(shard_contact(ledger::shard_of_account(tx.sender, config_.num_shards)), msg);
     return;
   }
-
-  for (ShardId s : involved) net_.client_send(shard_contact(s), msg);
-  // The execution site also needs the transaction itself.
-  if (config_.pipeline == Pipeline::kFull) {
-    net_.client_send(channel_contact(ledger::channel_of_tx(tx->hash, config_.num_shards)), msg);
-  } else if (config_.pipeline == Pipeline::kNoLattice) {
-    const ShardId exec{static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-    net_.client_send(shard_contact(exec), msg);
-  } else {
-    // kNoGlobalLogic: the first step's home shard gathers and starts execution.
-    const ShardId first = ledger::shard_of_contract(
-        tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-    net_.client_send(shard_contact(first), msg);
-  }
+  for (ShardId s : involved_shards(tx)) net_.client_send(shard_contact(s), msg);
+  const std::uint32_t site = exec_site(tx);
+  net_.client_send(config_.pipeline == Pipeline::kFull ? channel_contact(ChannelId{site})
+                                                       : shard_contact(ShardId{site}),
+                   msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -801,15 +886,9 @@ void JengaSystem::on_node_message(NodeId node, const sim::Message& msg) {
           eng.continuation_dedup[p.tx->hash] = p.next_step;
           eng.visits.push_back(ExecVisit{p.tx, p.gathered, p.next_step});
         }
-        if (p.hops > 0) {
-          // Member of subgroup(target, channel): rebroadcast into the shard.
-          sim::Message fwd = msg;
-          auto fp = std::make_shared<ContinuationPayload>(p);
-          fp->hops = 0;
-          fwd.payload = std::move(fp);
-          net_.broadcast(sim::BroadcastKind::kRelay, node, lattice_->shard_members(p.target),
-                         relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
-        }
+        if (p.hops > 0)
+          rebroadcast_in_shard<ContinuationPayload>(net_, node,
+                                                    lattice_->shard_members(p.target), msg);
       }
       return;
     }
@@ -847,34 +926,10 @@ void JengaSystem::handle_client_tx(NodeId node, const sim::Message& msg) {
         eng.determine.push_back(DetermineItem{tx, 0});
       }
     }
-
-    switch (config_.pipeline) {
-      case Pipeline::kFull: {
-        const ChannelId target = ledger::channel_of_tx(tx->hash, config_.num_shards);
-        if (asg.channel == target) {
-          ingested = true;
-          channels_[target.value]->gather.on_tx(tx, involved.size(), sim_.now());
-        }
-        break;
-      }
-      case Pipeline::kNoLattice: {
-        const ShardId exec{
-            static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-        if (asg.shard == exec) {
-          ingested = true;
-          eng.gather.on_tx(tx, involved.size(), sim_.now());
-        }
-        break;
-      }
-      case Pipeline::kNoGlobalLogic: {
-        const ShardId first = ledger::shard_of_contract(
-            tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-        if (asg.shard == first) {
-          ingested = true;
-          eng.gather.on_tx(tx, involved.size(), sim_.now());
-        }
-        break;
-      }
+    const std::uint32_t site = exec_site(*tx);
+    if ((config_.pipeline == Pipeline::kFull ? asg.channel.value : asg.shard.value) == site) {
+      ingested = true;
+      site_gather(site).on_tx(tx, involved.size(), sim_.now());
     }
   }
 
@@ -884,95 +939,28 @@ void JengaSystem::handle_client_tx(NodeId node, const sim::Message& msg) {
   // not lost; every downstream ingest point dedups, so a crossed requeue is
   // harmless.  Unreachable while reconfiguration is off (assignments never
   // change), so legacy runs are untouched.
-  if (!ingested && tracker_.contains(tx->hash) && rerouted_.insert(tx->hash).second) {
-    if (tx->kind == TxKind::kTransfer) {
-      net_.client_send(shard_contact(ledger::shard_of_account(tx->sender, config_.num_shards)),
-                       msg);
-      return;
-    }
-    for (ShardId s : involved_shards(*tx)) net_.client_send(shard_contact(s), msg);
-    if (config_.pipeline == Pipeline::kFull) {
-      net_.client_send(channel_contact(ledger::channel_of_tx(tx->hash, config_.num_shards)),
-                       msg);
-    } else if (config_.pipeline == Pipeline::kNoLattice) {
-      const ShardId exec{
-          static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-      net_.client_send(shard_contact(exec), msg);
-    } else {
-      const ShardId first = ledger::shard_of_contract(
-          tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-      net_.client_send(shard_contact(first), msg);
-    }
-  }
+  if (!ingested && tracker_.contains(tx->hash) && rerouted_.insert(tx->hash).second)
+    send_to_contacts(*tx, msg);
 }
 
 void JengaSystem::handle_grant_batch(NodeId node, const sim::Message& msg) {
+  const RelayIntake in = relay_intake(node, msg);
+  if (in.seen == nullptr) return;
   const auto& p = sim::payload_as<GrantBatchPayload>(msg);
-  if (p.epoch != epoch_) return;  // straddled a reshuffle; its txs were requeued
-  const Assignment asg = lattice_->assignment(node);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(p.source.value) << 40) ^ p.shard_height;
-
+  if (config_.pipeline == Pipeline::kNoGlobalLogic && p.hops > 0)
+    rebroadcast_in_shard<GrantBatchPayload>(net_, node, lattice_->shard_members(p.relay_target),
+                                            msg);
+  if (!admit_relay_batch(node, msg, in)) return;
   // Grants for an entry that already expired tx-less get an abort answer (so
   // the granting shard's Phase-1 locks release) instead of resurrecting it.
-  auto ingest_grants = [&](GatherUnit& gather, std::uint32_t responder_group) {
-    const SimTime now = sim_.now();
-    for (const auto& g : p.grants) {
-      if (gather.expired_dead.contains(g.tx_hash)) {
-        answer_dead_grant(gather, responder_group, node, g);
-        continue;
-      }
-      gather.on_grant(g, now);
+  GatherUnit& gather = site_gather(in.group);
+  const SimTime now = sim_.now();
+  for (const auto& g : p.grants) {
+    if (gather.expired_dead.contains(g.tx_hash)) {
+      answer_dead_grant(gather, in.group, node, g);
+      continue;
     }
-  };
-
-  switch (config_.pipeline) {
-    case Pipeline::kFull: {
-      // Delivered inside the execution channel; ingest once per batch.
-      ChannelEngine& ch = *channels_[asg.channel.value];
-      if (ch.grant_dedup.contains(key)) return;
-      if (try_park_for_pooled_verify(node, msg, channel_tag(asg.channel),
-                                     grant_park_key(key), p.cert))
-        return;
-      if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
-      ch.grant_dedup.insert(key);
-      ingest_grants(ch.gather, ch.id.value);
-      break;
-    }
-    case Pipeline::kNoLattice: {
-      // Arrived via client relay at the execution shard's contact node.
-      ShardEngine& eng = *shards_[asg.shard.value];
-      if (eng.grant_dedup.contains(key)) return;
-      if (try_park_for_pooled_verify(node, msg, shard_tag(asg.shard),
-                                     grant_park_key(key), p.cert))
-        return;
-      if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
-      eng.grant_dedup.insert(key);
-      ingest_grants(eng.gather, eng.id.value);
-      break;
-    }
-    case Pipeline::kNoGlobalLogic: {
-      // Leg 1 lands on all channel members; only nodes of the target shard
-      // ingest, and subgroup(relay_target, channel) rebroadcasts (leg 2).
-      if (asg.shard.value != p.relay_target.value) return;
-      ShardEngine& eng = *shards_[asg.shard.value];
-      if (p.hops > 0) {
-        auto fp = std::make_shared<GrantBatchPayload>(p);
-        fp->hops = 0;
-        sim::Message fwd = msg;
-        fwd.payload = std::move(fp);
-        net_.broadcast(sim::BroadcastKind::kRelay, node, lattice_->shard_members(asg.shard),
-                       relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
-      }
-      if (eng.grant_dedup.contains(key)) return;
-      if (try_park_for_pooled_verify(node, msg, shard_tag(asg.shard),
-                                     grant_park_key(key), p.cert))
-        return;
-      if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
-      eng.grant_dedup.insert(key);
-      ingest_grants(eng.gather, eng.id.value);
-      break;
-    }
+    gather.on_grant(g, now);
   }
 }
 
@@ -982,50 +970,43 @@ void JengaSystem::answer_dead_grant(GatherUnit& gather, std::uint32_t responder_
       grant.tx_hash.prefix_u64() ^ (0x9E3779B9ULL * (grant.source.value + 1));
   const std::uint64_t key = splitmix64(key_state);
   if (!gather.late_abort_sent.insert(key).second) return;  // answered already
-  auto rp = std::make_shared<ResultBatchPayload>();
-  rp->source = ChannelId{responder_group};
+  ResultBatchPayload batch;
+  batch.source = ChannelId{responder_group};
   // Synthetic batch height outside the real consensus-height space, so the
   // shard-side result dedup never collides with a real (source, height) pair.
-  rp->channel_height = (1ULL << 40) + gather.late_abort_seq++;
-  rp->epoch = epoch_;
-  rp->target = grant.source;
+  batch.channel_height = (1ULL << 40) + gather.late_abort_seq++;
+  batch.epoch = epoch_;
+  batch.target = grant.source;
   ExecResult r;
   r.tx_hash = grant.tx_hash;
   r.ok = false;
-  rp->results.push_back(std::move(r));
-  sim::Message m;
-  m.type = sim::MsgType::kExecResult;
-  m.from = node;
-  m.size_bytes = rp->wire_size();
-  m.payload = std::move(rp);
+  batch.results.push_back(std::move(r));
+  const sim::Message m = sim::make_message<ResultBatchPayload>(
+      sim::MsgType::kExecResult, node, batch.wire_size(), std::move(batch));
   relay_gossip(node, lattice_->shard_members(grant.source), m);
   if (lattice_->assignment(node).shard == grant.source) on_node_message(node, m);
 }
 
-void JengaSystem::handle_result_batch(NodeId node, const sim::Message& msg) {
-  const auto& p = sim::payload_as<ResultBatchPayload>(msg);
-  if (p.epoch != epoch_) return;  // straddled a reshuffle; its txs were requeued
-  const Assignment asg = lattice_->assignment(node);
-  if (asg.shard != p.target) return;  // channel witnesses just observe
-  ShardEngine& eng = *shards_[asg.shard.value];
-  if (p.hops > 0) {
-    // Member of subgroup(target, channel): rebroadcast inside the shard.
-    auto fp = std::make_shared<ResultBatchPayload>(p);
-    fp->hops = 0;
-    sim::Message fwd = msg;
-    fwd.payload = std::move(fp);
-    net_.broadcast(sim::BroadcastKind::kRelay, node, lattice_->shard_members(p.target),
-                   relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
+void JengaSystem::abort_txless(const Hash256& tx_hash, const std::vector<std::uint32_t>& granted,
+                               ResultBatches& results) const {
+  ExecResult abort;
+  abort.tx_hash = tx_hash;
+  abort.ok = false;
+  if (const auto it = tx_for_result_.find(tx_hash); it != tx_for_result_.end()) {
+    results.add(involved_shards(*it->second), abort);
+    return;
   }
-  std::uint64_t key = 0x9E3779B97F4A7C15ULL * (p.source.value + 1) +
-                      0xC2B2AE3D27D4EB4FULL * (p.target.value + 1) + p.channel_height;
-  key = splitmix64(key);
-  if (eng.result_dedup.contains(key)) return;
-  if (try_park_for_pooled_verify(node, msg, shard_tag(asg.shard), key, p.cert)) return;
-  // Results are certified by the group that decided them: the channel in the
-  // full pipeline, a state shard otherwise.
-  if (!verify_relay_cert(p.cert, config_.pipeline == Pipeline::kFull, p.source.value)) return;
-  eng.result_dedup.insert(key);
+  for (const std::uint32_t s : granted) results.add(ShardId{s}, abort);
+}
+
+void JengaSystem::handle_result_batch(NodeId node, const sim::Message& msg) {
+  const RelayIntake in = relay_intake(node, msg);
+  if (in.seen == nullptr) return;
+  const auto& p = sim::payload_as<ResultBatchPayload>(msg);
+  if (p.hops > 0)
+    rebroadcast_in_shard<ResultBatchPayload>(net_, node, lattice_->shard_members(p.target), msg);
+  if (!admit_relay_batch(node, msg, in)) return;
+  ShardEngine& eng = *shards_[in.group];
   for (const auto& r : p.results) {
     CommitItem item;
     item.ok = r.ok;
@@ -1320,13 +1301,8 @@ std::optional<consensus::ConsensusValue> JengaSystem::shard_propose(ShardEngine&
       auto it = eng.gather.pending.find(h);
       if (it == eng.gather.pending.end()) continue;
       if (!it->second.tx) {
-        // Expired with the tx never seen: fan an abort to the shards that
-        // granted (recorded sorted for determinism) via the decision.
-        std::vector<std::uint32_t> sources(it->second.reported.begin(),
-                                           it->second.reported.end());
-        std::sort(sources.begin(), sources.end());
-        eng.dead_gathers.emplace_back(h, std::move(sources));
-        eng.gather.finish_dead(h);
+        // Expired with the tx never seen: the decision fans the abort out.
+        eng.dead_gathers.emplace_back(h, eng.gather.finish_dead(h));
         continue;
       }
       eng.visits.push_back(
@@ -1474,21 +1450,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         telemetry_->tracer.phase_event(tx->hash, telemetry::Phase::kStateLock,
                                        eng.id.value, now);
 
-      std::uint32_t dest = 0;
-      switch (config_.pipeline) {
-        case Pipeline::kFull:
-          dest = ledger::channel_of_tx(tx->hash, config_.num_shards).value;
-          break;
-        case Pipeline::kNoLattice:
-          dest = static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards);
-          break;
-        case Pipeline::kNoGlobalLogic:
-          dest = ledger::shard_of_contract(tx->contracts[tx->steps.front().contract_slot],
-                                           config_.num_shards)
-                     .value;
-          break;
-      }
-      auto& batch = batches[dest];
+      auto& batch = batches[exec_site(*tx)];
       batch.source = eng.id;
       batch.shard_height = height;
       batch.epoch = epoch_;
@@ -1739,37 +1701,11 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       }
     }
 
-    // Execution results produced by this decision, batched per target shard
-    // so each (decision, target) pair is exactly one message.
-    std::map<std::uint32_t, ResultBatchPayload> result_batches;
-    auto add_result_to = [&](ShardId target, const ExecResult& result) {
-      auto& batch = result_batches[target.value];
-      batch.source = ChannelId{eng.id.value};
-      batch.channel_height = height;
-      batch.epoch = epoch_;
-      batch.target = target;
-      batch.cert = cert;
-      batch.results.push_back(result);
-    };
-    auto add_result = [&](const Transaction& tx, const ExecResult& result) {
-      for (ShardId target : involved_shards(tx)) add_result_to(target, result);
-    };
+    // Execution results produced by this decision (kNoLattice, kNoGlobalLogic).
+    ResultBatches results{ChannelId{eng.id.value}, height, epoch_, cert, {}};
 
     // --- Dead gather entries (kNoGlobalLogic) ----------------------------
-    // Expired with the tx never seen here.  Abort to every involved shard
-    // (the granting ones release their Phase-1 locks, the rest settle their
-    // tracker share); the submit-time registry still knows the tx.  Fall back
-    // to the recorded granting shards if it has already fully settled.
-    for (const auto& [h, sources] : payload->dead_gathers) {
-      ExecResult r;
-      r.tx_hash = h;
-      r.ok = false;
-      if (const auto tit = tx_for_result_.find(h); tit != tx_for_result_.end()) {
-        add_result(*tit->second, r);
-      } else {
-        for (const std::uint32_t s : sources) add_result_to(ShardId{s}, r);
-      }
-    }
+    for (const auto& [h, granted] : payload->dead_gathers) abort_txless(h, granted, results);
 
     // --- Multi-round execution visits (kNoGlobalLogic) ------------------
     // Runs the run of consecutive steps homed on this shard, then either
@@ -1826,7 +1762,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         result.tx_hash = tx.hash;
         result.ok = success;
         if (success) result.per_shard_updates = split_per_shard(std::move(gathered));
-        add_result(tx, result);
+        results.add(involved_shards(tx), result);
       };
 
       if (!ok) {
@@ -1845,6 +1781,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       cp->next_step = step;
       cp->target = next;
       cp->hops = 1;
+      cp->epoch = epoch_;
       sim::Message m;
       m.type = sim::MsgType::kSubTxResult;
       m.from = node;
@@ -1856,62 +1793,36 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
 
     // --- Execution entries (kNoLattice) ---------------------------------
     for (const auto& [tx, result] : payload->exec_entries) {
-      // Retire the gathered entry.  For entries whose tx never arrived, fan
-      // the abort to every shard that granted (their Phase-1 locks must
-      // release); record the hash so late grants still get an answer.
       if (!eng.gather.ready.empty()) eng.gather.ready.pop_front();
-      std::vector<std::uint32_t> sources;
-      if (!tx) {
-        if (const auto pit = eng.gather.pending.find(result.tx_hash);
-            pit != eng.gather.pending.end()) {
-          sources.assign(pit->second.reported.begin(), pit->second.reported.end());
-          std::sort(sources.begin(), sources.end());
-        }
-        eng.gather.finish_dead(result.tx_hash);
-      } else {
-        eng.gather.finish(result.tx_hash);
-      }
       if (telemetry_ != nullptr)
         telemetry_->tracer.phase_event(result.tx_hash, telemetry::Phase::kExecute,
                                        eng.id.value, now);
       if (!tx) {
-        ExecResult abort_r;
-        abort_r.tx_hash = result.tx_hash;
-        abort_r.ok = false;
-        if (const auto tit = tx_for_result_.find(result.tx_hash);
-            tit != tx_for_result_.end()) {
-          add_result(*tit->second, abort_r);  // every involved shard settles
-        } else {
-          for (const std::uint32_t s : sources) add_result_to(ShardId{s}, abort_r);
-        }
+        abort_txless(result.tx_hash, eng.gather.finish_dead(result.tx_hash), results);
         continue;
       }
-      add_result(*tx, result);
+      eng.gather.finish(result.tx_hash);
+      results.add(involved_shards(*tx), result);
     }
 
     // --- Ship the batched execution results -----------------------------
-    for (auto& [target_value, batch] : result_batches) {
+    for (auto& [target_value, batch] : results.by_target) {
       const ShardId target{target_value};
-      auto rp = std::make_shared<ResultBatchPayload>(std::move(batch));
-      sim::Message m;
-      m.type = sim::MsgType::kExecResult;
-      m.from = node;
-      m.size_bytes = rp->wire_size();
+      // kNoGlobalLogic relays remote results through a channel's subgroups.
+      const bool via_channel =
+          target != eng.id && config_.pipeline == Pipeline::kNoGlobalLogic;
+      batch.hops = via_channel ? 1 : 0;
+      sim::Message m = sim::make_message<ResultBatchPayload>(
+          sim::MsgType::kExecResult, node, batch.wire_size(), std::move(batch));
       if (target == eng.id) {
         // Local commits: the updates already travelled inside this shard's
         // own consensus block; ingest directly.
-        rp->hops = 0;
-        m.payload = std::move(rp);
         handle_result_batch(node, m);
-      } else if (config_.pipeline == Pipeline::kNoLattice) {
-        rp->hops = 0;
-        m.payload = std::move(rp);
-        net_.send_via_relay(node, shard_contact(target), m, sim::TrafficClass::kCrossShard);
-      } else {  // kNoGlobalLogic: relay through a channel's subgroups
-        rp->hops = 1;
-        m.payload = std::move(rp);
+      } else if (via_channel) {
         outcome.to_channels.emplace_back(ChannelId{target_value % config_.num_shards},
                                          std::move(m));
+      } else {  // kNoLattice: an ordinary client-relayed cross-shard message
+        net_.send_via_relay(node, shard_contact(target), m, sim::TrafficClass::kCrossShard);
       }
     }
 
@@ -1939,25 +1850,9 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
   // Per-node forwarding duty: subgroup members rebroadcast into channels.
   const auto it = eng.outcomes.find(height);
   if (it == eng.outcomes.end()) return;
-  const Assignment asg = lattice_->assignment(node);
-  for (const auto& [ch, msg] : it->second.to_channels) {
-    if (asg.channel != ch) continue;
-    sim::Message copy = msg;
-    copy.from = node;
-    if (batcher_ != nullptr) {
-      // Rumor mode: coalesce every relay this node owes the channel within
-      // one aligned window into a single framed rumor (one spread, one
-      // pooled certificate verification on each receiver).
-      batcher_->enqueue(node, lattice_->channel_members(ch), relay_rumor_id(copy), copy,
-                        sim::TrafficClass::kIntraShard);
-    } else {
-      // Gossip rather than unicast-to-all: batches carry whole contract
-      // states, and a fanout tree spreads the serialization load across the
-      // channel instead of saturating each subgroup member's uplink.
-      relay_gossip(node, lattice_->channel_members(ch), copy);
-      on_node_message(node, copy);  // local ingest (dissemination skips self)
-    }
-  }
+  const ChannelId mine = lattice_->assignment(node).channel;
+  for (const auto& [ch, msg] : it->second.to_channels)
+    if (ch == mine) relay_outcome(node, lattice_->channel_members(ch), msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -1999,56 +1894,24 @@ void JengaSystem::channel_decide(ChannelEngine& eng, NodeId node, std::uint64_t 
     const SimTime now = sim_.now();
     ChannelEngine::Outcome outcome;
 
-    // Group results per target shard.
-    std::map<std::uint32_t, ResultBatchPayload> batches;
-    auto add_to = [&](ShardId target, const ExecResult& result) {
-      auto& batch = batches[target.value];
-      batch.source = eng.id;
-      batch.channel_height = height;
-      batch.epoch = epoch_;
-      batch.target = target;
-      batch.cert = cert;
-      batch.results.push_back(result);
-    };
+    ResultBatches results{eng.id, height, epoch_, cert, {}};
     for (const auto& [tx, result] : payload->entries) {
       if (!eng.gather.ready.empty()) eng.gather.ready.pop_front();
       if (!tx) {
         // Expired with the tx never seen (a crashed contact swallowed the
-        // client copy): fan the abort back to every shard that granted so
-        // their Phase-1 locks release, and remember the hash so grants that
-        // arrive even later still get an answer.
-        std::vector<std::uint32_t> sources;
-        if (const auto pit = eng.gather.pending.find(result.tx_hash);
-            pit != eng.gather.pending.end()) {
-          sources.assign(pit->second.reported.begin(), pit->second.reported.end());
-          std::sort(sources.begin(), sources.end());
-        }
-        eng.gather.finish_dead(result.tx_hash);
-        ExecResult abort_r;
-        abort_r.tx_hash = result.tx_hash;
-        abort_r.ok = false;
-        if (const auto tit = tx_for_result_.find(result.tx_hash);
-            tit != tx_for_result_.end()) {
-          // Every involved shard settles, not just the ones that granted.
-          for (ShardId target : involved_shards(*tit->second)) add_to(target, abort_r);
-        } else {
-          for (const std::uint32_t s : sources) add_to(ShardId{s}, abort_r);
-        }
+        // client copy).
+        abort_txless(result.tx_hash, eng.gather.finish_dead(result.tx_hash), results);
         continue;
       }
       eng.gather.finish(result.tx_hash);
       if (telemetry_ != nullptr)
         telemetry_->tracer.phase_event(result.tx_hash, telemetry::Phase::kExecute,
                                        eng.id.value, now);
-      for (ShardId target : involved_shards(*tx)) add_to(target, result);
+      results.add(involved_shards(*tx), result);
     }
-    for (auto& [target, batch] : batches) {
-      auto rp = std::make_shared<ResultBatchPayload>(std::move(batch));
-      sim::Message m;
-      m.type = sim::MsgType::kExecResult;
-      m.from = node;
-      m.size_bytes = rp->wire_size();
-      m.payload = std::move(rp);
+    for (auto& [target, batch] : results.by_target) {
+      sim::Message m = sim::make_message<ResultBatchPayload>(
+          sim::MsgType::kExecResult, node, batch.wire_size(), std::move(batch));
       outcome.to_shards.emplace_back(ShardId{target}, std::move(m));
     }
     eng.outcomes[height] = std::move(outcome);
@@ -2059,19 +1922,9 @@ void JengaSystem::channel_decide(ChannelEngine& eng, NodeId node, std::uint64_t 
   // certified results into its shard.
   const auto it = eng.outcomes.find(height);
   if (it == eng.outcomes.end()) return;
-  const Assignment asg = lattice_->assignment(node);
-  for (const auto& [shard, msg] : it->second.to_shards) {
-    if (asg.shard != shard) continue;
-    sim::Message copy = msg;
-    copy.from = node;
-    if (batcher_ != nullptr) {
-      batcher_->enqueue(node, lattice_->shard_members(shard), relay_rumor_id(copy), copy,
-                        sim::TrafficClass::kIntraShard);
-    } else {
-      relay_gossip(node, lattice_->shard_members(shard), copy);
-      on_node_message(node, copy);
-    }
-  }
+  const ShardId mine = lattice_->assignment(node).shard;
+  for (const auto& [shard, msg] : it->second.to_shards)
+    if (shard == mine) relay_outcome(node, lattice_->shard_members(shard), msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -2257,7 +2110,6 @@ void JengaSystem::perform_cutover(std::uint64_t target_epoch) {
     s->gather = GatherUnit{};
     s->gather.tracer = tracer;
     s->gather.tracer_key = s->id.value;
-    s->grant_dedup.clear();
     s->result_dedup.clear();
     s->continuation_dedup.clear();
     s->outcomes.clear();
@@ -2267,7 +2119,6 @@ void JengaSystem::perform_cutover(std::uint64_t target_epoch) {
     c->gather = GatherUnit{};
     c->gather.tracer = tracer;
     c->gather.tracer_key = c->id.value;
-    c->grant_dedup.clear();
     c->outcomes.clear();
     c->next_process_height = 0;
   }
@@ -2300,29 +2151,10 @@ void JengaSystem::reingest(const TxPtr& tx) {
     shards_[src.value]->transfers.push_back(TransferItem{tx, 0});
     return;
   }
-  const SimTime now = sim_.now();
   // `seen_client` still holds the hash (by design — late client copies must
   // stay deduped), so feed the mempools directly.
   for (ShardId s : involved) shards_[s.value]->determine.push_back(DetermineItem{tx, 0});
-  switch (config_.pipeline) {
-    case Pipeline::kFull: {
-      const ChannelId target = ledger::channel_of_tx(tx->hash, config_.num_shards);
-      channels_[target.value]->gather.on_tx(tx, involved.size(), now);
-      break;
-    }
-    case Pipeline::kNoLattice: {
-      const ShardId exec{
-          static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-      shards_[exec.value]->gather.on_tx(tx, involved.size(), now);
-      break;
-    }
-    case Pipeline::kNoGlobalLogic: {
-      const ShardId first = ledger::shard_of_contract(
-          tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-      shards_[first.value]->gather.on_tx(tx, involved.size(), now);
-      break;
-    }
-  }
+  site_gather(exec_site(*tx)).on_tx(tx, involved.size(), sim_.now());
 }
 
 // ---------------------------------------------------------------------------
@@ -2497,14 +2329,10 @@ bool JengaSystem::verify_relay_cert(const consensus::QuorumCert& cert, bool chan
     return true;
   }
   if (certs_preverified_) return true;  // covered by the frame's pooled pass
-  const auto& ids = source_public_ids(channel_group, gid);
   ++cert_stats_.individual_checks;
-  const std::size_t quorum = 2 * ((ids.size() - 1) / 3) + 1;
-  const Hash256 digest =
-      consensus::vote_digest(cert.value_digest, cert.height, cert.view, /*commit_phase=*/true);
-  const bool ok = cert.sig.signers.size() == ids.size() &&
-                  cert.sig.signer_count() >= quorum &&
-                  crypto::fast_verify_multisig(ids, digest, cert.sig);
+  const auto entry = relay_cert_entry(cert, channel_group, gid);
+  const bool ok =
+      entry && crypto::fast_verify_multisig(entry->group_public_ids, entry->msg, cert.sig);
   if (!ok) {
     ++cert_stats_.invalid_certs;
     if (telemetry_ != nullptr) telemetry_->registry.counter("relay.invalid_certs").inc();
@@ -2512,34 +2340,62 @@ bool JengaSystem::verify_relay_cert(const consensus::QuorumCert& cert, bool chan
   return ok;
 }
 
-bool JengaSystem::frame_item_seen(NodeId node, const sim::Message& inner) const {
+std::optional<crypto::FastBatchEntry> JengaSystem::relay_cert_entry(
+    const consensus::QuorumCert& cert, bool channel_group, std::uint32_t gid) {
+  const auto& ids = source_public_ids(channel_group, gid);
+  if (cert.sig.signers.size() != ids.size() ||
+      cert.sig.signer_count() < 2 * ((ids.size() - 1) / 3) + 1)
+    return std::nullopt;
+  return crypto::FastBatchEntry{
+      ids, consensus::vote_digest(cert.value_digest, cert.height, cert.view, /*commit_phase=*/true),
+      &cert.sig};
+}
+
+JengaSystem::RelayIntake JengaSystem::relay_intake(NodeId node, const sim::Message& msg) {
   const Assignment asg = lattice_->assignment(node);
-  if (inner.type == sim::MsgType::kStateGrant) {
-    const auto& p = sim::payload_as<GrantBatchPayload>(inner);
-    if (p.epoch != epoch_) return true;  // dropped unread by the handler
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(p.source.value) << 40) ^ p.shard_height;
-    switch (config_.pipeline) {
-      case Pipeline::kFull:
-        return channels_[asg.channel.value]->grant_dedup.contains(key);
-      case Pipeline::kNoLattice:
-        return shards_[asg.shard.value]->grant_dedup.contains(key);
-      case Pipeline::kNoGlobalLogic:
-        if (asg.shard.value != p.relay_target.value) return true;  // witness only
-        return shards_[asg.shard.value]->grant_dedup.contains(key);
-    }
-    return false;
-  }
-  if (inner.type == sim::MsgType::kExecResult) {
-    const auto& p = sim::payload_as<ResultBatchPayload>(inner);
-    if (p.epoch != epoch_) return true;
-    if (asg.shard != p.target) return true;  // channel witnesses just observe
+  RelayIntake in;
+  if (msg.type == sim::MsgType::kStateGrant) {
+    const auto& p = sim::payload_as<GrantBatchPayload>(msg);
+    // A batch that straddled a reshuffle is dropped (its txs were requeued).
+    // kNoGlobalLogic leg 1 lands on every channel member; only nodes of the
+    // relay target shard ingest.
+    if (p.epoch != epoch_ ||
+        (config_.pipeline == Pipeline::kNoGlobalLogic && asg.shard != p.relay_target))
+      return in;
+    const bool full = config_.pipeline == Pipeline::kFull;
+    in.group = full ? asg.channel.value : asg.shard.value;  // the node's execution site
+    in.seen = &site_gather(in.group).grant_dedup;
+    in.key = (static_cast<std::uint64_t>(p.source.value) << 40) ^ p.shard_height;
+    in.pool_tag = full ? channel_tag(asg.channel) : shard_tag(asg.shard);
+    in.park_key = grant_park_key(in.key);
+    in.cert = &p.cert;
+    in.cert_group = p.source.value;
+  } else if (msg.type == sim::MsgType::kExecResult) {
+    const auto& p = sim::payload_as<ResultBatchPayload>(msg);
+    if (p.epoch != epoch_ || asg.shard != p.target) return in;  // stale, or a channel witness
+    in.group = asg.shard.value;
+    in.seen = &shards_[in.group]->result_dedup;
     std::uint64_t key = 0x9E3779B97F4A7C15ULL * (p.source.value + 1) +
                         0xC2B2AE3D27D4EB4FULL * (p.target.value + 1) + p.channel_height;
-    key = splitmix64(key);
-    return shards_[asg.shard.value]->result_dedup.contains(key);
+    in.key = splitmix64(key);
+    in.pool_tag = shard_tag(asg.shard);
+    in.park_key = in.key;
+    in.cert = &p.cert;
+    // Results are certified by the group that decided them: the channel in
+    // the full pipeline, a state shard otherwise.
+    in.channel_cert = config_.pipeline == Pipeline::kFull;
+    in.cert_group = p.source.value;
   }
-  return false;
+  return in;
+}
+
+bool JengaSystem::admit_relay_batch(NodeId node, const sim::Message& msg,
+                                    const RelayIntake& in) {
+  if (in.seen->contains(in.key)) return false;
+  if (try_park_for_pooled_verify(node, msg, in)) return false;
+  if (!verify_relay_cert(*in.cert, in.channel_cert, in.cert_group)) return false;
+  in.seen->insert(in.key);
+  return true;
 }
 
 void JengaSystem::handle_batch_frame(NodeId node, const sim::Message& msg) {
@@ -2564,12 +2420,11 @@ void JengaSystem::handle_batch_frame(NodeId node, const sim::Message& msg) {
 }
 
 bool JengaSystem::try_park_for_pooled_verify(NodeId node, const sim::Message& msg,
-                                             std::uint64_t pool_tag, std::uint64_t dedup_key,
-                                             const consensus::QuorumCert& cert) {
+                                             const RelayIntake& in) {
   if (batcher_ == nullptr || certs_preverified_ || pool_bypass_) return false;
-  if (cert.sig.signer_count() == 0) return false;  // synthetic, nothing to verify
-  VerifyPool& pool = verify_pools_[pool_tag];
-  if (!pool.keys.insert(dedup_key).second) return true;  // dup of a parked batch
+  if (in.cert->sig.signer_count() == 0) return false;  // synthetic, nothing to verify
+  VerifyPool& pool = verify_pools_[in.pool_tag];
+  if (!pool.keys.insert(in.park_key).second) return true;  // dup of a parked batch
   pool.parked.emplace_back(node, msg);
   if (!pool.flush_scheduled) {
     pool.flush_scheduled = true;
@@ -2577,7 +2432,7 @@ bool JengaSystem::try_park_for_pooled_verify(NodeId node, const sim::Message& ms
     // across ALL source groups — is verified by one aggregated pass.
     const SimTime w = std::max<SimTime>(1, net_.config().batch_window);
     sim_.schedule_at((sim_.now() / w + 1) * w,
-                     [this, pool_tag] { flush_verify_pool(pool_tag); });
+                     [this, pool_tag = in.pool_tag] { flush_verify_pool(pool_tag); });
   }
   return true;
 }
@@ -2594,32 +2449,18 @@ void JengaSystem::flush_verify_pool(std::uint64_t pool_tag) {
   entries.reserve(pool.parked.size());
   bool pool_ok = true;
   for (const auto& [node, msg] : pool.parked) {
-    if (frame_item_seen(node, msg)) continue;  // went stale (e.g. epoch turned)
-    const consensus::QuorumCert* cert = nullptr;
-    bool channel_group = false;
-    std::uint32_t gid = 0;
-    if (msg.type == sim::MsgType::kStateGrant) {
-      const auto& p = sim::payload_as<GrantBatchPayload>(msg);
-      cert = &p.cert;
-      gid = p.source.value;
-    } else if (msg.type == sim::MsgType::kExecResult) {
-      const auto& p = sim::payload_as<ResultBatchPayload>(msg);
-      cert = &p.cert;
-      channel_group = config_.pipeline == Pipeline::kFull;
-      gid = p.source.value;
-    }
-    if (cert == nullptr || cert->sig.signer_count() == 0) continue;
-    const auto& ids = source_public_ids(channel_group, gid);
-    if (cert->sig.signers.size() != ids.size() ||
-        cert->sig.signer_count() < 2 * ((ids.size() - 1) / 3) + 1) {
+    // A batch the engine already ingested (a co-relayer's copy) or would drop
+    // unread (e.g. the epoch turned) needs no crypto: the same
+    // dedup-before-verify order as the unbatched handlers.
+    const RelayIntake in = relay_intake(node, msg);
+    if (in.seen == nullptr || in.seen->contains(in.key) || in.cert->sig.signer_count() == 0)
+      continue;
+    const auto entry = relay_cert_entry(*in.cert, in.channel_cert, in.cert_group);
+    if (!entry) {
       pool_ok = false;  // structurally broken: force the per-item fallback
       continue;
     }
-    entries.push_back(crypto::FastBatchEntry{
-        ids,
-        consensus::vote_digest(cert->value_digest, cert->height, cert->view,
-                               /*commit_phase=*/true),
-        &cert->sig});
+    entries.push_back(*entry);
   }
   if (!entries.empty()) {
     ++cert_stats_.batch_passes;

@@ -320,8 +320,19 @@ class JengaSystem {
   struct ChannelEngine;
   struct ShardApp;
   struct ChannelApp;
+  struct ResultBatches;
+  struct RelayIntake;
 
   [[nodiscard]] std::vector<ShardId> involved_shards(const ledger::Transaction& tx) const;
+  /// The one execution site of a contract tx: its channel in the full
+  /// lattice, a shard chosen by tx hash without it (kNoLattice), the home
+  /// shard of its first step without network-wide logic (kNoGlobalLogic).
+  /// A channel id in kFull, a shard id otherwise.
+  [[nodiscard]] std::uint32_t exec_site(const ledger::Transaction& tx) const;
+  [[nodiscard]] GatherUnit& site_gather(std::uint32_t site);
+  /// Client delivery: a transfer goes to its sender's shard, a contract tx to
+  /// every involved shard and to its execution site.
+  void send_to_contacts(const ledger::Transaction& tx, const sim::Message& msg);
   [[nodiscard]] NodeId shard_contact(ShardId s) const;
   [[nodiscard]] NodeId channel_contact(ChannelId c) const;
   /// Epoch-salted consensus group tags: heights restart at 0 after each
@@ -356,6 +367,12 @@ class JengaSystem {
   /// the granting shard so its Phase-1 locks release.
   void answer_dead_grant(GatherUnit& gather, std::uint32_t responder_group, NodeId node,
                          const StateGrant& grant);
+  /// Settles a gather entry whose tx never arrived: the abort goes to every
+  /// involved shard while the tx is still tracked (the granting shards release
+  /// their Phase-1 locks, the rest settle their tracker share), otherwise to
+  /// the shards that granted (`granted`, sorted).
+  void abort_txless(const Hash256& tx_hash, const std::vector<std::uint32_t>& granted,
+                    ResultBatches& results) const;
   /// Re-ingests a force-aborted transaction into the (new-epoch) mempools and
   /// gathers, preserving its tracker entry and submit timestamp.
   void reingest(const TxPtr& tx);
@@ -373,26 +390,30 @@ class JengaSystem {
   /// certificates into ONE aggregate-verified pass, then dispatches each
   /// inner message as if it had arrived individually.
   void handle_batch_frame(NodeId node, const sim::Message& msg);
-  /// True when the engine owning `inner` at this receiver has already
-  /// ingested it (or would drop it unread): its cert needs no pooling, so
-  /// duplicate frames from co-relayers cost zero crypto — mirroring the
-  /// dedup-before-verify order of the unbatched handlers.
-  [[nodiscard]] bool frame_item_seen(NodeId node, const sim::Message& inner) const;
+  /// Where a grant or result batch lands at `node` (see RelayIntake).
+  [[nodiscard]] RelayIntake relay_intake(NodeId node, const sim::Message& msg);
+  /// Relay-batch admission: drops a batch the receiving engine already
+  /// ingested, parks it for the pooled verify (batched mode), else verifies
+  /// its cert, then marks it seen.  True when the caller should ingest it.
+  bool admit_relay_batch(NodeId node, const sim::Message& msg, const RelayIntake& in);
   /// Batched mode: instead of verifying a relay batch's cert on arrival, the
   /// receiving engine parks it until the next window boundary and verifies
   /// every cert that arrived in the window — from ALL source groups (at S
   /// shards a channel hears up to S granting shards concurrently) — in ONE
   /// aggregated pass.  Returns true when the batch was parked (or is a
   /// duplicate of a parked one) and the handler should stop.
-  bool try_park_for_pooled_verify(NodeId node, const sim::Message& msg,
-                                  std::uint64_t pool_tag, std::uint64_t dedup_key,
-                                  const consensus::QuorumCert& cert);
+  bool try_park_for_pooled_verify(NodeId node, const sim::Message& msg, const RelayIntake& in);
   void flush_verify_pool(std::uint64_t pool_tag);
   /// Verifies a relay batch's commit certificate against the source group's
   /// vote keys.  Skipped (and counted) for unsigned synthetic batches, and
   /// for certs already covered by a frame's pooled batch verification.
   [[nodiscard]] bool verify_relay_cert(const consensus::QuorumCert& cert, bool channel_group,
                                        std::uint32_t gid);
+  /// A relay cert as one multisig check: the source group's vote keys and the
+  /// digest its commit quorum signed.  nullopt when the signer set cannot be
+  /// a quorum of that group.
+  [[nodiscard]] std::optional<crypto::FastBatchEntry> relay_cert_entry(
+      const consensus::QuorumCert& cert, bool channel_group, std::uint32_t gid);
   /// Cached vote-key ids of a group under the CURRENT epoch's key schedule.
   [[nodiscard]] const std::vector<std::uint64_t>& source_public_ids(bool channel_group,
                                                                     std::uint32_t gid);
@@ -408,6 +429,10 @@ class JengaSystem {
   /// wedge its transactions' locks forever (receivers dedup by batch key).
   void relay_gossip(NodeId node, const std::vector<NodeId>& group, const sim::Message& msg,
                     sim::BroadcastKind kind = sim::BroadcastKind::kRelay);
+  /// Forwarding duty of a subgroup member for one certified outcome: framed
+  /// by the batcher in rumor mode, else gossiped into `group` and ingested
+  /// locally (dissemination skips the sender).
+  void relay_outcome(NodeId node, const std::vector<NodeId>& group, sim::Message msg);
 
   /// Handles recovery-ladder opcodes (TwoPcPayload::op != kLeg): probes and
   /// force-abort queries at the destination shard, their replies at the

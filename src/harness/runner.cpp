@@ -61,8 +61,8 @@ std::uint32_t resolve_nodes_per_shard(const RunConfig& cfg) {
   if (cfg.nodes_per_shard != 0) return cfg.nodes_per_shard;
   auto k = static_cast<std::uint32_t>(paper_nodes_per_shard(cfg.num_shards) * cfg.scale);
   k = std::max(cfg.num_shards, k - k % cfg.num_shards);  // integral subgroups
-  // BFT needs at least 4 members.
-  return std::max<std::uint32_t>(k, 4 + (4 % cfg.num_shards == 0 ? 0 : 0));
+  // BFT needs at least 4 members, rounded up to keep the subgroups integral.
+  return std::max(k, (4 + cfg.num_shards - 1) / cfg.num_shards * cfg.num_shards);
 }
 
 }  // namespace
@@ -318,9 +318,6 @@ RunResult run_experiment(const RunConfig& config) {
     result.cert_checks = jenga->cert_stats();
     if (jenga->rumor_mesh() != nullptr) result.rumor = jenga->rumor_mesh()->stats();
     if (jenga->batcher() != nullptr) result.relay_batches = jenga->batcher()->stats();
-    result.epoch_transitions = jenga->epoch_stats().transitions;
-    result.epoch_txs_requeued = jenga->epoch_stats().txs_requeued;
-    result.state_sync = jenga->state_sync_stats();
     result.recovery = jenga->recovery_stats();
     // Fold durability traffic into the registry (per-shard backend counters).
     if (config.storage_backend != core::StorageBackendKind::kNone) {
@@ -353,10 +350,6 @@ RunResult run_experiment(const RunConfig& config) {
   reg.counter("net.faults.down_blocked").set(result.faults.down_blocked);
   reg.counter("tx.submitted").set(result.stats.submitted);
   reg.counter("sim.events").set(result.sim_events);
-  if (result.epoch_transitions > 0) {
-    reg.counter("epoch.transitions").set(result.epoch_transitions);
-    reg.counter("epoch.txs_requeued").set(result.epoch_txs_requeued);
-  }
   if (result.rumor.rumors_started > 0) {
     reg.counter("net.rumor.started").set(result.rumor.rumors_started);
     reg.counter("net.rumor.pushes").set(result.rumor.pushes_sent);

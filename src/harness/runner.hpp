@@ -37,7 +37,8 @@ struct RunConfig {
   SystemKind kind = SystemKind::kJenga;
   std::uint32_t num_shards = 4;
   /// 0 = paper Table I size scaled by `scale`, rounded down to a multiple of
-  /// the shard count (the lattice needs integral subgroups).
+  /// the shard count (the lattice needs integral subgroups), and no smaller
+  /// than the least such multiple of at least 4 (BFT's minimum group).
   std::uint32_t nodes_per_shard = 0;
   double scale = 0.25;
   std::uint64_t seed = 1;
@@ -54,7 +55,7 @@ struct RunConfig {
 
   workload::TraceConfig trace;  // num_contracts/num_accounts defaults apply
   baselines::CrossShardMode cross_mode = baselines::CrossShardMode::kClientRelay;
-  std::uint32_t merge_span = 0;  // Pyramid; 0 = max(2, S/2)
+  std::uint32_t merge_span = 0;  // Pyramid; 0 = max(2, S/4)
   std::uint32_t max_block_items = 4096;
   /// Worker threads for batch transaction execution (src/exec/), every system
   /// kind.  Results are bit-identical for every value; 1 = serial.
@@ -169,12 +170,6 @@ struct RunResult {
   gossip::RumorStats rumor;
   gossip::BatchStats relay_batches;
   core::CertVerifyStats cert_checks;
-  /// Reconfigurations completed during the run and transactions carried
-  /// across a boundary (both 0 unless epoch_interval > 0 on a Jenga kind).
-  std::uint64_t epoch_transitions = 0;
-  std::uint64_t epoch_txs_requeued = 0;
-  /// Recovery-time state sync counters (all 0 unless model_state_sync).
-  core::StateSyncStats state_sync;
   /// Failure-detector activity (all 0 unless self_healing on a faulted Jenga
   /// run, the only runs that build a detector).
   security::DetectorStats detector;

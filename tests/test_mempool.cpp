@@ -389,11 +389,14 @@ TEST_P(OpenLoopDeterminism, IdenticalAcrossExecWorkerCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Systems, OpenLoopDeterminism,
-                         ::testing::Values(SystemKind::kJenga, SystemKind::kCxFunc,
+                         ::testing::Values(SystemKind::kJenga, SystemKind::kJengaNoLattice,
+                                           SystemKind::kJengaNoGlobalLogic, SystemKind::kCxFunc,
                                            SystemKind::kSingleShard, SystemKind::kPyramid),
                          [](const auto& info) {
                            switch (info.param) {
                              case SystemKind::kJenga: return "Jenga";
+                             case SystemKind::kJengaNoLattice: return "JengaNoOLS";
+                             case SystemKind::kJengaNoGlobalLogic: return "JengaNoNWLS";
                              case SystemKind::kCxFunc: return "CxFunc";
                              case SystemKind::kSingleShard: return "SingleShard";
                              case SystemKind::kPyramid: return "Pyramid";
