@@ -159,7 +159,7 @@ SigCell run_sig_cell(sim::Transport transport, std::uint32_t num_shards,
   // it non-empty so the relay duty exists at every (shard, channel) pair.
   cfg.nodes_per_shard = std::max(8u, num_shards);
   cfg.contract_txs = txs;
-  cfg.inject_window = 30 * kSecond;
+  cfg.arrival.rate_tps = static_cast<double>(txs) / 30;  // arrivals over about 30 s
   cfg.max_sim_time = 1200 * kSecond;
   cfg.trace.num_contracts = 4000;
   cfg.trace.num_accounts = 8000;

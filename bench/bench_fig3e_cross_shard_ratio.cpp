@@ -24,7 +24,7 @@ int main() {
   for (std::uint32_t s : kShardCounts) {
     RunConfig q = perf_config(SystemKind::kCxFunc, s);
     q.contract_txs /= 2;  // traffic accounting needs volume, not duration
-    q.closed_loop_window /= 2;
+    q.max_inflight /= 2;
     q.cross_mode = baselines::CrossShardMode::kQuorumBroadcast;
     RunConfig relay = q;
     relay.cross_mode = baselines::CrossShardMode::kClientRelay;

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
     std::printf("%-16s", system_name(systems[i]));
     for (std::uint32_t s : kShardCounts) {
       RunConfig cfg = perf_config(systems[i], s);
-      cfg.contract_txs /= 4;       // ratios need less volume than absolutes
-      cfg.closed_loop_window /= 4;
+      cfg.contract_txs /= 4;  // ratios need less volume than absolutes
+      cfg.max_inflight /= 4;
       if (s == 12 && systems[i] == SystemKind::kJenga) cfg.trace_out = trace_out;
       const auto r = run_experiment(cfg);
       tps[{i, s}] = r.tps;

@@ -7,9 +7,10 @@
 // nothing dropped silently (generated = submitted + rejected + expired,
 // exactly).
 //
-// Saturation is self-calibrated per build/scale: a closed-loop run (bounded
-// backlog, no admission layer) measures the pipeline's service rate, and the
-// sweep multiplies that.  Emits BENCH_overload.json.  JENGA_OVERLOAD_QUICK=1
+// Saturation is self-calibrated per build/scale: a closed-loop run (a credit
+// window of 64 over pools that never fill or expire, so admission never
+// refuses) measures the pipeline's service rate, and the sweep multiplies
+// that.  Emits BENCH_overload.json.  JENGA_OVERLOAD_QUICK=1
 // shrinks the sweep to bursty {1x, 3x} for CI smoke runs.
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hpp"
+#include "bench_config.hpp"
 #include "report.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -178,10 +179,10 @@ int main() {
 
   const std::size_t total_txs = jenga::harness::bench_txs_from_env(quick_mode() ? 120 : 240);
 
-  // Saturation reference: closed-loop (bounded backlog keeps the pipeline
-  // busy without an unbounded queue), no admission layer in the path.
+  // Saturation reference: closed-loop (a bounded backlog keeps the pipeline
+  // busy without an unbounded queue).
   RunConfig closed = base_config(total_txs);
-  closed.closed_loop_window = 64;
+  credit_window(closed, 64);
   const RunResult sat = jenga::harness::run_experiment(closed);
   const double sat_tps = sat.tps;
   std::printf("saturation (closed-loop, window 64): %.2f tps, p99 %.2fs\n\n", sat_tps,

@@ -27,7 +27,7 @@ int main() {
   const auto make_config = [](bool traced) {
     RunConfig cfg = perf_config(SystemKind::kJenga, 4);
     cfg.contract_txs /= 4;  // quick: overhead ratio needs no volume
-    cfg.closed_loop_window /= 4;
+    cfg.max_inflight /= 4;
     if (traced) {
       cfg.causal_trace = true;
       cfg.flight_events_per_node = 64;

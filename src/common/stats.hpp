@@ -14,9 +14,8 @@ struct TxStats {
   std::uint64_t submitted = 0;
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
-  /// Admission-layer outcomes (0 on legacy closed-loop runs, which submit
-  /// straight into the system).  Rejected/expired transactions never entered
-  /// the pipeline: they carry no commit latency and are excluded from the
+  /// Admission-layer outcomes (filled in by the runner; systems never see
+  /// them).  Rejected/expired transactions never entered the pipeline: they carry no commit latency and are excluded from the
   /// quantiles below, which sample committed transactions only.
   std::uint64_t rejected = 0;  // terminally refused (reason-coded at the client)
   std::uint64_t expired = 0;   // TTL lapsed in the pool or on arrival

@@ -57,6 +57,10 @@ std::size_t bench_txs_from_env(std::size_t fallback) {
 
 namespace {
 
+/// Chain height the trace generator draws contract txs at: workload maturity
+/// (the Fig. 3 trends), a mature chain for every run.
+constexpr std::uint64_t kTraceHeight = 1'000'000;
+
 std::uint32_t resolve_nodes_per_shard(const RunConfig& cfg) {
   if (cfg.nodes_per_shard != 0) return cfg.nodes_per_shard;
   auto k = static_cast<std::uint32_t>(paper_nodes_per_shard(cfg.num_shards) * cfg.scale);
@@ -106,9 +110,6 @@ RunResult run_experiment(const RunConfig& config) {
       jc.epoch_interval = config.epoch_interval;
       jc.epoch_drain_window = config.epoch_drain_window;
       jc.epoch_beacon_lead = config.epoch_beacon_lead;
-      jc.epoch_min_contributions = config.epoch_min_contributions;
-      jc.epoch_vdf_iterations = config.epoch_vdf_iterations;
-      jc.epoch_vdf_checkpoints = config.epoch_vdf_checkpoints;
       jc.storage_backend = config.storage_backend;
       jc.storage_snapshot_interval = config.storage_snapshot_interval;
       jc.model_state_sync = config.model_state_sync;
@@ -148,7 +149,7 @@ RunResult run_experiment(const RunConfig& config) {
       baseline->submit(std::move(tx));
     }
   };
-  auto stats = [&]() -> const TxStats& { return jenga ? jenga->stats() : baseline->stats(); };
+  const auto& stats = jenga ? jenga->stats() : baseline->stats();
   const std::uint64_t initial_balance =
       jenga ? jenga->total_account_balance() : baseline->total_account_balance();
 
@@ -172,135 +173,76 @@ RunResult run_experiment(const RunConfig& config) {
     baseline->start();
   }
 
-  const std::size_t total = config.contract_txs + config.transfer_txs;
-  auto mix = std::make_shared<Rng>(config.seed ^ 0x317);
-  auto contracts_left = std::make_shared<std::size_t>(config.contract_txs);
-  auto transfers_left = std::make_shared<std::size_t>(config.transfer_txs);
-  auto make_one = [&, mix, contracts_left, transfers_left]() -> ledger::Transaction {
+  Rng mix(config.seed ^ 0x317);
+  std::size_t contracts_left = config.contract_txs;
+  std::size_t transfers_left = config.transfer_txs;
+  auto make_one = [&]() -> ledger::Transaction {
     const bool pick_transfer =
-        *transfers_left > 0 && (*contracts_left == 0 ||
-                                mix->uniform(*contracts_left + *transfers_left) <
-                                    *transfers_left);
+        transfers_left > 0 &&
+        (contracts_left == 0 || mix.uniform(contracts_left + transfers_left) < transfers_left);
     if (pick_transfer) {
-      --*transfers_left;
+      --transfers_left;
     } else {
-      --*contracts_left;
+      --contracts_left;
     }
-    return pick_transfer ? gen.transfer_tx(sim.now())
-                         : gen.contract_tx(config.trace_height, sim.now());
-  };
-  auto submit_one = [&, make_one] {
-    submit(std::make_shared<ledger::Transaction>(make_one()));
+    return pick_transfer ? gen.transfer_tx(sim.now()) : gen.contract_tx(kTraceHeight, sim.now());
   };
 
-  // Open-loop ingestion (admission control, backpressure, retry) when an
-  // arrival mode is selected; otherwise the legacy injection paths below run
-  // bit-identically to earlier revisions.
-  const bool open_loop = config.arrival.mode != workload::ArrivalMode::kNone;
-  std::unique_ptr<mempool::IngressSet> ingress;
-  std::unique_ptr<workload::OpenLoopClient> client;
+  // Every transaction enters through the open-loop client: admission
+  // control, backpressure, retry and the credit-windowed dispatch pump.
+  mempool::IngressConfig ic;
+  ic.num_shards = config.num_shards;
+  ic.pool = config.mempool;
+  mempool::IngressSet ingress(ic);
+  ingress.set_telemetry(&telemetry->registry);
+  ingress.set_causal(&telemetry->causal);
+
+  workload::ClientConfig cc;
+  cc.arrival = config.arrival;
+  cc.retry = config.retry;
+  cc.total_txs = config.contract_txs + config.transfer_txs;
+  cc.max_inflight = config.max_inflight;
+  workload::OpenLoopClient client(
+      sim, ingress, cc, Rng(config.seed ^ 0xC11E47), make_one, submit,
+      [&]() -> std::size_t { return jenga ? jenga->in_flight() : baseline->in_flight(); });
+  client.set_telemetry(&telemetry->registry);
+  client.start();
+
   std::unique_ptr<security::FaultInjector> injector;
-  if (open_loop) {
-    mempool::IngressConfig ic;
-    ic.num_shards = config.num_shards;
-    ic.pool = config.mempool;
-    ic.soft_watermark = config.mempool_soft_watermark;
-    ic.hard_watermark = config.mempool_hard_watermark;
-    ingress = std::make_unique<mempool::IngressSet>(ic);
-    ingress->set_telemetry(&telemetry->registry);
-    ingress->set_causal(&telemetry->causal);
-
-    workload::ClientConfig cc;
-    cc.arrival = config.arrival;
-    cc.retry = config.retry;
-    cc.fee_tiers = config.fee_tiers;
-    cc.total_txs = total;
-    cc.max_inflight = config.max_inflight;
-    cc.pump_interval = config.pump_interval;
-    client = std::make_unique<workload::OpenLoopClient>(
-        sim, *ingress, cc, Rng(config.seed ^ 0xC11E47), make_one, submit,
-        [&]() -> std::size_t { return jenga ? jenga->in_flight() : baseline->in_flight(); });
-    client->set_telemetry(&telemetry->registry);
-    client->start();
-  }
   if (config.faults_plan.event_count() > 0 && jenga) {
     // Scripted faults ride along (Jenga kinds; the injector drives the
-    // system's fault hooks).  Overload bursts reach the open-loop client's
-    // rate multiplier; without a client they have nothing to throttle.
+    // system's fault hooks).  Overload bursts reach the client's rate
+    // multiplier.
     injector = std::make_unique<security::FaultInjector>(sim, net, *jenga);
-    if (client) {
-      injector->set_overload_hook(
-          [c = client.get()](double m) { c->set_rate_multiplier(m); });
-    }
+    injector->set_overload_hook([&client](double m) { client.set_rate_multiplier(m); });
     injector->arm(config.faults_plan);
   }
 
-  if (open_loop) {
-    // Arrivals already scheduled by the client.
-  } else if (config.closed_loop_window > 0) {
-    // Closed loop: a pacer keeps `window` transactions outstanding.
-    // It reaches itself through a weak_ptr, so the pending event owns it and
-    // it dies with the simulator instead of keeping itself alive.
-    auto pacer = std::make_shared<std::function<void()>>();
-    *pacer = [&, self = std::weak_ptr(pacer), submit_one, total] {
-      const auto& s = stats();
-      const std::size_t completed = s.committed + s.aborted;
-      const std::size_t outstanding = s.submitted - completed;
-      std::size_t can = config.closed_loop_window > outstanding
-                            ? config.closed_loop_window - outstanding
-                            : 0;
-      while (can-- > 0 && s.submitted < total) submit_one();
-      if (stats().submitted < total ||
-          stats().committed + stats().aborted < total)
-        sim.schedule_after(200 * kMillisecond, [p = self.lock()] { (*p)(); });
-    };
-    sim.schedule_at(0, [pacer] { (*pacer)(); });
-  } else {
-    // Open-loop injection, uniform over the window.
-    for (std::size_t i = 0; i < total; ++i) {
-      const SimTime at =
-          total <= 1 ? 0
-                     : static_cast<SimTime>(static_cast<double>(config.inject_window) *
-                                            static_cast<double>(i) / static_cast<double>(total));
-      sim.schedule_at(at, submit_one);
-    }
-  }
-
-  // Run in slices; stop as soon as every submission completed.
+  // Run in slices; stop as soon as every generated tx reached a terminal
+  // state — committed or aborted inside the system, or terminally
+  // rejected/expired at the admission layer (the client tracks those).
   const SimTime slice = 10 * kSecond;
   SimTime now = 0;
   while (now < config.max_sim_time) {
     now += slice;
     sim.run_until(now);
-    const auto& s = stats();
-    if (open_loop) {
-      // Open loop: every generated tx must reach a terminal state — committed
-      // or aborted inside the system, or terminally rejected/expired at the
-      // admission layer (the client tracks those).
-      if (client->drained() && s.committed + s.aborted == s.submitted) break;
-    } else if (s.submitted == total && s.committed + s.aborted == total) {
-      break;
-    }
+    if (client.drained() && stats.committed + stats.aborted == stats.submitted) break;
   }
 
   RunResult result;
-  result.stats = stats();
-  if (open_loop) {
-    const workload::ClientStats& cs = client->stats();
-    result.stats.rejected = cs.rejected_terminal;
-    result.stats.expired = cs.expired_doa + cs.expired_pool;
-    result.ingress.enabled = true;
-    result.ingress.pools = ingress->stats();
-    result.ingress.client = cs;
-    result.ingress.admission_digest = ingress->admission_digest();
-    if (jenga) {
-      result.ingress.invariants_audited = true;
-      result.ingress.invariants =
-          security::check_invariants(*jenga, initial_balance, ingress.get());
-      // A failed audit fires the flight recorder: the last-N-events window
-      // plus lineage becomes the post-mortem artifact for this run.
-      if (!result.ingress.invariants.ok()) telemetry->flight.trigger("invariant.violation");
-    }
+  result.stats = stats;
+  const workload::ClientStats& cs = client.stats();
+  result.stats.rejected = cs.rejected_terminal;
+  result.stats.expired = cs.expired_doa + cs.expired_pool;
+  result.ingress.pools = ingress.stats();
+  result.ingress.client = cs;
+  result.ingress.admission_digest = ingress.admission_digest();
+  if (jenga) {
+    result.ingress.invariants_audited = true;
+    result.ingress.invariants = security::check_invariants(*jenga, initial_balance, &ingress);
+    // A failed audit fires the flight recorder: the last-N-events window
+    // plus lineage becomes the post-mortem artifact for this run.
+    if (!result.ingress.invariants.ok()) telemetry->flight.trigger("invariant.violation");
   }
   result.traffic = net.stats();
   result.faults = net.fault_stats();

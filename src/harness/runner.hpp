@@ -45,13 +45,7 @@ struct RunConfig {
 
   std::size_t contract_txs = 2000;
   std::size_t transfer_txs = 0;
-  SimTime inject_window = 20 * kSecond;
-  /// > 0: closed-loop injection — keep this many transactions outstanding
-  /// (bounded backlog, as a load generator against a real testbed would),
-  /// ignoring inject_window.  0: open-loop uniform over the window.
-  std::size_t closed_loop_window = 0;
   SimTime max_sim_time = 1200 * kSecond;
-  std::uint64_t trace_height = 1'000'000;  // workload maturity (Fig. 3 trends)
 
   workload::TraceConfig trace;  // num_contracts/num_accounts defaults apply
   baselines::CrossShardMode cross_mode = baselines::CrossShardMode::kClientRelay;
@@ -89,9 +83,6 @@ struct RunConfig {
   SimTime epoch_interval = 0;
   SimTime epoch_drain_window = 10 * kSecond;
   SimTime epoch_beacon_lead = 20 * kSecond;
-  std::size_t epoch_min_contributions = 0;  // 0 = 2N/3 + 1
-  std::uint64_t epoch_vdf_iterations = 256;
-  std::size_t epoch_vdf_checkpoints = 8;
 
   // --- Durable authenticated state (Jenga kinds only; baselines ignore) ---
   core::StorageBackendKind storage_backend = core::StorageBackendKind::kNone;
@@ -100,26 +91,20 @@ struct RunConfig {
   bool model_state_sync = false;
 
   // --- Open-loop ingestion (DESIGN.md §10) --------------------------------
-  /// arrival.mode == kNone (default): the legacy injection paths above run
-  /// bit-identically to earlier PRs.  Any other mode routes every generated
-  /// tx through per-ingress-shard fee-priority mempools: Poisson/bursty/
-  /// diurnal arrivals at arrival.rate_tps, admission control with reason
-  /// codes, TTL expiry, backpressure into the arrival process, client retry
-  /// with backoff, and a credit-windowed dispatch pump into the system.
-  /// Works on every SystemKind; contract_txs + transfer_txs still set the
-  /// total generated.
+  /// Every generated tx (contract_txs + transfer_txs in total) enters through
+  /// the open-loop client: Poisson/bursty/diurnal arrivals at
+  /// arrival.rate_tps into per-ingress-shard fee-priority mempools, admission
+  /// control with reason codes, TTL expiry, backpressure into the arrival
+  /// process, client retry with backoff, and a credit-windowed dispatch pump
+  /// into the system.  Works on every SystemKind.
   workload::ArrivalConfig arrival;
   workload::RetryPolicy retry;
-  workload::FeeTierSpec fee_tiers;
   mempool::MempoolConfig mempool;  // per-ingress-shard pool
-  double mempool_soft_watermark = 0.70;
-  double mempool_hard_watermark = 0.95;
   /// Dispatch credit window: pool → system submissions keep at most this many
-  /// transactions in flight (open-loop modes only).
+  /// transactions in flight.  With arrivals far above the service rate and a
+  /// pool that neither fills nor expires, this is a closed loop of this size.
   std::size_t max_inflight = 512;
-  SimTime pump_interval = 50 * kMillisecond;
-  /// Scripted faults, armed before the run (Jenga kinds only; overload bursts
-  /// additionally need an open-loop arrival mode to have a client to throttle).
+  /// Scripted faults, armed before the run (Jenga kinds only).
   security::FaultPlan faults_plan;
 
   // --- Self-healing (DESIGN.md §14) ---------------------------------------
@@ -133,9 +118,8 @@ struct RunConfig {
   core::RecoveryConfig recovery;
 };
 
-/// Admission-layer outcome of an open-loop run (zeroed for legacy modes).
+/// Admission-layer outcome of a run.
 struct IngressReport {
-  bool enabled = false;
   mempool::IngressStats pools;
   workload::ClientStats client;
   /// Chained hash over every admit/reject/evict/expire/dispatch event — the
@@ -175,7 +159,7 @@ struct RunResult {
   security::DetectorStats detector;
   /// Stuck-2PC recovery-ladder activity (Jenga kinds; all 0 in clean runs).
   core::RecoveryStats recovery;
-  /// Admission-layer outcome (enabled only for open-loop arrival modes).
+  /// Admission-layer outcome.
   IngressReport ingress;
   /// Every run is instrumented (telemetry is cheap enough to stay on): the
   /// full metric registry / tracer / message telemetry, and the per-phase

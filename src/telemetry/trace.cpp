@@ -91,7 +91,6 @@ void PhaseTracer::phase_event(const Hash256& tx, Phase phase, std::uint32_t key,
   if (it == traces_.end()) return;  // never submitted through this tracer
   TxTrace& t = it->second;
   if (t.done) return;
-  t.events.push_back(TraceEvent{phase, key, now});
   SimTime& cp = t.checkpoint[static_cast<std::size_t>(phase)];
   cp = std::max(cp, now);
   if (causal_ != nullptr)

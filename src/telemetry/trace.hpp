@@ -46,19 +46,12 @@ inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCoun
 
 [[nodiscard]] const char* phase_name(Phase p);
 
-struct TraceEvent {
-  Phase phase{};
-  std::uint32_t key = 0;  // shard / channel id the event happened on
-  SimTime at = 0;
-};
-
 struct TxTrace {
   SimTime submit = -1;
   SimTime finish = -1;
   std::array<SimTime, kPhaseCount> checkpoint{-1, -1, -1, -1};
   bool committed = false;
   bool done = false;
-  std::vector<TraceEvent> events;
 
   /// The four monotone intervals summing exactly to finish - submit:
   /// [state_lock, grant_relay, execute, commit].  Unset checkpoints (a flow
@@ -102,7 +95,8 @@ struct SpanRecord {
 class PhaseTracer {
  public:
   void on_submit(const Hash256& tx, SimTime now);
-  /// Records a span event and advances the phase checkpoint (keeps the max).
+  /// Advances the phase checkpoint (keeps the max); `key` is the shard /
+  /// channel id the event happened on (the flight recorder's node label).
   /// Events after the transaction finished are dropped — a late duplicate
   /// outcome must not smear a settled trace.
   void phase_event(const Hash256& tx, Phase phase, std::uint32_t key, SimTime now);

@@ -306,8 +306,9 @@ harness::RunConfig digest_run(sim::Transport t, std::uint32_t workers) {
   cfg.num_shards = 4;
   cfg.nodes_per_shard = 8;
   cfg.contract_txs = 60;
-  cfg.inject_window = 30 * kSecond;
+  cfg.arrival.rate_tps = 2;  // arrivals over about 30 s
   cfg.max_sim_time = 900 * kSecond;
+  cfg.mempool.ttl = cfg.max_sim_time;
   cfg.exec_workers = workers;
   // Conflict-light workload: contention would make the commit/abort split
   // timing-dependent, which is exactly what the cross-transport witness must

@@ -362,7 +362,6 @@ RunConfig open_loop_run(SystemKind kind, std::uint32_t workers) {
   cfg.trace.num_accounts = 2000;
   cfg.trace.max_steps = 12;
   cfg.trace.max_contracts_per_tx = 6;
-  cfg.arrival.mode = workload::ArrivalMode::kPoisson;
   cfg.arrival.rate_tps = 40.0;
   cfg.mempool.capacity = 64;
   cfg.mempool.ttl = 120 * kSecond;
@@ -375,7 +374,6 @@ class OpenLoopDeterminism : public ::testing::TestWithParam<SystemKind> {};
 TEST_P(OpenLoopDeterminism, IdenticalAcrossExecWorkerCounts) {
   const RunResult serial = run_experiment(open_loop_run(GetParam(), 1));
   const RunResult parallel = run_experiment(open_loop_run(GetParam(), 4));
-  ASSERT_TRUE(serial.ingress.enabled);
   EXPECT_EQ(serial.ledger_digest, parallel.ledger_digest);
   EXPECT_EQ(serial.ingress.admission_digest, parallel.ingress.admission_digest);
   EXPECT_EQ(serial.stats.submitted, parallel.stats.submitted);
@@ -406,7 +404,6 @@ INSTANTIATE_TEST_SUITE_P(Systems, OpenLoopDeterminism,
 
 TEST(OpenLoop, EveryGeneratedTxReachesOneTerminalState) {
   const RunResult r = run_experiment(open_loop_run(SystemKind::kJenga, 1));
-  ASSERT_TRUE(r.ingress.enabled);
   const workload::ClientStats& cs = r.ingress.client;
   EXPECT_EQ(cs.generated, 160u);
   // generated = dispatched-into-system + terminal at the admission layer.
@@ -434,7 +431,6 @@ TEST(OpenLoop, OverloadDegradesGracefullyAndStaysBounded) {
   cfg.retry.max_attempts = 3;
   cfg.max_inflight = 32;
   const RunResult r = run_experiment(cfg);
-  ASSERT_TRUE(r.ingress.enabled);
   const workload::ClientStats& cs = r.ingress.client;
   EXPECT_EQ(cs.generated, 160u);
   EXPECT_EQ(cs.generated, r.stats.submitted + r.stats.rejected + r.stats.expired);
@@ -458,7 +454,6 @@ TEST(OpenLoop, ScriptedOverloadBurstRaisesPressure) {
       security::OverloadBurst{.at = kSecond, .duration = 6 * kSecond, .rate_multiplier = 10.0});
   const RunResult a = run_experiment(calm);
   const RunResult b = run_experiment(bursty);
-  ASSERT_TRUE(b.ingress.enabled);
   // The burst compresses arrivals into a shorter window: pools fill deeper.
   EXPECT_GE(b.ingress.pools.peak_resident, a.ingress.pools.peak_resident);
   // Both runs still drain cleanly through admission control.
@@ -496,23 +491,6 @@ TEST(OpenLoop, MempoolTelemetrySurfaces) {
       waits += h->count();
   }
   EXPECT_EQ(waits, r.stats.submitted);
-}
-
-TEST(OpenLoop, LegacyModesUnaffected) {
-  // arrival.mode == kNone must leave the pre-mempool paths bit-identical:
-  // no ingress report, no rejected/expired counts.
-  RunConfig cfg;
-  cfg.kind = SystemKind::kJenga;
-  cfg.num_shards = 4;
-  cfg.nodes_per_shard = 8;
-  cfg.contract_txs = 60;
-  cfg.trace.num_contracts = 500;
-  cfg.trace.num_accounts = 1000;
-  const RunResult r = run_experiment(cfg);
-  EXPECT_FALSE(r.ingress.enabled);
-  EXPECT_EQ(r.stats.rejected, 0u);
-  EXPECT_EQ(r.stats.expired, 0u);
-  EXPECT_EQ(r.stats.committed + r.stats.aborted, 60u);
 }
 
 }  // namespace

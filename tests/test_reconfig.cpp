@@ -251,7 +251,7 @@ TEST(Reconfig, DeterministicLedgerAcrossExecWorkers) {
     rc.nodes_per_shard = 8;
     rc.seed = 11;
     rc.contract_txs = 120;
-    rc.inject_window = 120 * kSecond;
+    rc.arrival.rate_tps = 1;  // arrivals over about 120 s
     rc.max_sim_time = 500 * kSecond;
     rc.exec_workers = workers[i];
     rc.epoch_interval = 50 * kSecond;

@@ -215,8 +215,9 @@ harness::RunConfig runner_config(harness::SystemKind kind, std::uint32_t workers
   rc.seed = 5;
   rc.contract_txs = 30;
   rc.transfer_txs = 15;
-  rc.inject_window = 10 * kSecond;
+  rc.arrival.rate_tps = 4.5;  // arrivals over about 10 s
   rc.max_sim_time = 900 * kSecond;
+  rc.mempool.ttl = rc.max_sim_time;
   rc.exec_workers = workers;
   rc.self_healing = self_healing;
   return rc;

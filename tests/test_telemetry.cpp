@@ -160,7 +160,7 @@ harness::RunConfig small_run(harness::SystemKind kind) {
   cfg.num_shards = 4;
   cfg.nodes_per_shard = 8;
   cfg.contract_txs = 120;
-  cfg.inject_window = 30 * kSecond;
+  cfg.arrival.rate_tps = 4;  // arrivals over about 30 s
   cfg.max_sim_time = 900 * kSecond;
   cfg.trace.num_contracts = 1000;
   cfg.trace.num_accounts = 2000;
