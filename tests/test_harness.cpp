@@ -166,6 +166,45 @@ TEST(GoldenDigests, CxFuncOpenLoop) {
                  "c90ec037eee522504d1d369fe19c78b73236acbf0cefe8719b298eae28b171b7"});
 }
 
+// Both baselines copy whole contract states into bundles: Single Shard into
+// its state transfer, Pyramid into merged-shard and cross-shard slices.
+TEST(GoldenDigests, SingleShardOpenLoop) {
+  expect_golden(SystemKind::kSingleShard,
+                {"2cfaac4a89b64c165046b24076d21dd4ddd45a4d5519ea609f3e1540c039334a",
+                 "0000000000000000000000000000000000000000000000000000000000000000",
+                 "c90ec037eee522504d1d369fe19c78b73236acbf0cefe8719b298eae28b171b7"});
+}
+
+TEST(GoldenDigests, PyramidOpenLoop) {
+  expect_golden(SystemKind::kPyramid,
+                {"29eba14d4e7f84091e5f2500562b125c8f8b84d253905dfa0dff3d6570e1a41b",
+                 "0000000000000000000000000000000000000000000000000000000000000000",
+                 "c90ec037eee522504d1d369fe19c78b73236acbf0cefe8719b298eae28b171b7"});
+}
+
+// Contract states of 64-256 entries, 150-400-instruction functions and four
+// exec workers, as in the benchmark's fat-state workload: every state that is
+// locked, shipped, executed and written back holds about nine times as many
+// entries as in the runs above.
+TEST(GoldenDigests, JengaFatStatesFourWorkers) {
+  RunConfig cfg = golden_run(SystemKind::kJenga);
+  cfg.contract_txs = 240;
+  cfg.transfer_txs = 60;
+  cfg.trace.initial_state_entries_min = 64;
+  cfg.trace.initial_state_entries_max = 256;
+  cfg.trace.function_length_min = 150;
+  cfg.trace.function_length_max = 400;
+  cfg.exec_workers = 4;
+  const RunResult r = run_experiment(cfg);
+  EXPECT_EQ(r.stats.committed + r.stats.aborted, r.stats.submitted);
+  EXPECT_GT(r.stats.committed, 250u);
+  // At least 64 entries in every one of a shard's ~250 contracts.
+  EXPECT_GT(r.storage.state_bytes_per_node, 200u * 64 * ledger::kStateEntryBytes);
+  expect_digests(r, {"ef1e1598be663dbe5efff059e938839876b3374db7a9867dbf06d7c75e552329",
+                     "919ecd4016b29c7a13730e68ff973b2c11427533ce8bd352450b9937cacacd81",
+                     "65368bfdb2021391e0e9c2b8bf164e7106ee09fe861ce46476327efd7db919aa"});
+}
+
 // The Fig. 7 ablations execute elsewhere: on a hash-chosen shard (w/o OLS)
 // and stepwise across contract home shards (w/o NWLS).
 TEST(GoldenDigests, JengaNoLatticeOpenLoop) {
