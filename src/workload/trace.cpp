@@ -91,6 +91,7 @@ ledger::ContractState TraceGenerator::initial_state(std::size_t contract_index) 
   const auto entries = static_cast<std::uint64_t>(local.uniform_int(
       config_.initial_state_entries_min, config_.initial_state_entries_max));
   ledger::ContractState st;
+  st.reserve(entries);
   for (std::uint64_t k = 0; k < entries; ++k) st[k] = local.uniform(1 << 20);
   return st;
 }
