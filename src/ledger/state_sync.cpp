@@ -28,15 +28,9 @@ bool apply_entry(StateStore& dst, const std::vector<std::uint8_t>& key,
     return true;
   }
   if (keyspace == kKeyspaceContract) {
-    const std::uint64_t count = vr.u64();
-    ContractState st;
-    for (std::uint64_t i = 0; i < count && !vr.failed(); ++i) {
-      const std::uint64_t k = vr.u64();
-      const std::uint64_t v = vr.u64();
-      st[k] = v;
-    }
-    if (vr.failed() || !vr.exhausted()) return false;
-    dst.create_contract_state(ContractId{id}, std::move(st));
+    auto st = decode_contract_value(vr);
+    if (!st || !vr.exhausted()) return false;
+    dst.create_contract_state(ContractId{id}, std::move(*st));
     return true;
   }
   return false;

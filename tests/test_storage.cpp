@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "ledger/state_store.hpp"
@@ -31,6 +32,30 @@ Hash256 value_of(std::uint64_t i) { return crypto::sha256_tagged("test-val", pat
 
 std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return {s.begin(), s.end()};
+}
+
+/// A contract value laid out as encode_contract_value lays one out, but with
+/// the keys in the given order; key k holds k + 100.
+std::vector<std::uint8_t> contract_value_with_keys(std::initializer_list<std::uint64_t> keys) {
+  Writer w;
+  w.u64(keys.size());
+  for (const std::uint64_t k : keys) {
+    w.u64(k);
+    w.u64(k + 100);
+  }
+  return w.take();
+}
+
+/// An in-memory backend holding one contract value under contract 7, with a
+/// commit whose root is the trie root over exactly those bytes.
+std::unique_ptr<InMemoryBackend> backend_holding(const std::vector<std::uint8_t>& value) {
+  const auto key = state_key_contract(ContractId{7});
+  MerkleTrie trie;
+  trie.put(state_path(key), state_value_hash(value));
+  auto backend = std::make_unique<InMemoryBackend>();
+  backend->put(key, value);
+  backend->commit(trie.root());
+  return backend;
 }
 
 // --- deterministic mutation scripts ------------------------------------------
@@ -614,6 +639,24 @@ TEST(Corruption, CommitRootMismatchIsRefused) {
   EXPECT_NE(store.error().find("root"), std::string::npos) << store.error();
 }
 
+// A contract value with keys out of order or repeated is not the encoding of
+// any state.  Rebuilding from it would hash those bytes into the root while
+// holding the sorted state, whose own root differs: the root would no longer
+// be a function of the state.
+TEST(Corruption, NonCanonicalContractValueIsRefused) {
+  auto in_order = StateStore::open(backend_holding(contract_value_with_keys({3, 5})));
+  ASSERT_TRUE(in_order.ok()) << in_order.error();
+  StateStore fresh;
+  fresh.create_contract_state(ContractId{7}, ContractState{{3, 103}, {5, 105}});
+  EXPECT_EQ(in_order.value().digest(), fresh.digest());
+
+  for (const auto keys : {std::initializer_list<std::uint64_t>{5, 3}, {3, 3}}) {
+    auto store = StateStore::open(backend_holding(contract_value_with_keys(keys)));
+    ASSERT_FALSE(store.ok());
+    EXPECT_NE(store.error().find("contract value"), std::string::npos) << store.error();
+  }
+}
+
 // --- proof-verified state sync -----------------------------------------------
 
 StateStore populated_store(std::uint64_t seed, std::size_t n_ops = 150) {
@@ -659,6 +702,27 @@ TEST(StateSync, WrongAdvertisedRootIsRejected) {
   const SyncOutcome outcome = apply_sync_snapshot(snapshot, dst);
   EXPECT_FALSE(outcome.ok);
   EXPECT_GE(outcome.proof_rejections, 1u);
+}
+
+TEST(StateSync, NonCanonicalContractValueIsRejected) {
+  // The proof verifies (the root commits to these very bytes), but the value
+  // is not a state's encoding, so the entry is refused before it is applied.
+  const auto key = state_key_contract(ContractId{7});
+  SyncEntry e;
+  e.key = key;
+  e.value = contract_value_with_keys({5, 3});
+  MerkleTrie trie;
+  trie.put(state_path(key), state_value_hash(e.value));
+  ASSERT_TRUE(trie.prove(state_path(key), e.proof));
+  SyncSnapshot snapshot;
+  snapshot.root = trie.root();
+  snapshot.entries.push_back(std::move(e));
+
+  StateStore dst;
+  const SyncOutcome outcome = apply_sync_snapshot(snapshot, dst);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.proof_rejections, 1u);
+  EXPECT_FALSE(dst.has_contract_state(ContractId{7}));
 }
 
 TEST(StateSync, FullCopyFallbackReproducesState) {
