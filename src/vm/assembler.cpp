@@ -83,6 +83,8 @@ Result<std::vector<Instruction>, std::string> assemble(std::string_view source) 
       std::uint64_t slot = 0, fn = 0;
       if (!(words >> slot >> fn))
         return Err("line " + std::to_string(line_no) + ": CALL needs slot and function");
+      if (slot > 0xFFFF || fn > 0xFFFF)
+        return Err("line " + std::to_string(line_no) + ": CALL operand above 65535");
       ins.imm = pack_call(static_cast<std::uint16_t>(slot), static_cast<std::uint16_t>(fn));
     } else if (*op == Op::kJump || *op == Op::kJumpIfZero) {
       std::string target;
