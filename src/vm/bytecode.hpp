@@ -6,7 +6,9 @@
 // state and account balances, with gas metering and cross-contract calls.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -42,15 +44,82 @@ enum class Op : std::uint8_t {
   kAbort,       // abort the whole transaction
 };
 
-/// Packed to the 9 bytes code_size_bytes() charges: contract bytecode is the
-/// largest part of a run's set-up memory, and the 7 padding bytes of a
-/// naturally aligned layout would nearly double it.  Fields are read by
-/// value, never by reference, so the unaligned `imm` is safe.
-struct [[gnu::packed]] Instruction {
+/// One decoded instruction: what the assembler emits and what
+/// Code::operator[] returns.  Code stores instructions in a smaller form.
+struct Instruction {
   Op op{};
   std::uint64_t imm = 0;
 };
-static_assert(sizeof(Instruction) == 9);
+
+/// A function body, one 16-bit unit per instruction; the pc is the unit's
+/// index.  The op takes the low kOpBits bits.  The immediate takes the high
+/// 11 bits when it is below kInlineLimit; any other immediate is held in a
+/// side table sorted by pc, and its unit holds the sentinel kInlineLimit.
+/// Generated code never needs the table (its immediates are at most 1000),
+/// so the table allocates nothing there; assembled code uses it for CALL
+/// into slot >= 1, large PUSH constants and jumps past pc 2046.
+///
+/// Every shard holds the logic of every contract, so bytecode is the largest
+/// part of a run's set-up memory.  The storage model does not charge this
+/// layout: ContractLogic::code_size_bytes() charges kInstructionBytes.
+class Code {
+ public:
+  static constexpr unsigned kOpBits = 5;
+  /// Immediates below this are held in their unit.
+  static constexpr std::uint64_t kInlineLimit = (1u << (16 - kOpBits)) - 1;
+
+  Code() = default;
+  Code(std::initializer_list<Instruction> code) : Code(std::vector<Instruction>(code)) {}
+  /// Implicit, so assembler output converts: `{"name", assemble(src).value()}`.
+  Code(const std::vector<Instruction>& code) {
+    reserve(code.size());
+    for (const Instruction& ins : code) push_back(ins);
+  }
+
+  void reserve(std::size_t n) { units_.reserve(n); }
+  void push_back(Instruction ins) {
+    std::uint64_t field = ins.imm;
+    if (ins.imm >= kInlineLimit) {
+      wide_.push_back({units_.size(), ins.imm});
+      field = kInlineLimit;
+    }
+    units_.push_back(static_cast<std::uint16_t>(static_cast<std::uint64_t>(ins.op) |
+                                                field << kOpBits));
+  }
+
+  [[nodiscard]] std::size_t size() const { return units_.size(); }
+  [[nodiscard]] bool empty() const { return units_.empty(); }
+  [[nodiscard]] std::size_t capacity() const { return units_.capacity(); }
+
+  [[nodiscard]] Instruction operator[](std::size_t pc) const {
+    const std::uint16_t unit = units_[pc];
+    const auto op = static_cast<Op>(unit & kOpMask);
+    const std::uint64_t imm = unit >> kOpBits;
+    if (imm != kInlineLimit) [[likely]]
+      return {op, imm};
+    return {op, wide_imm(pc)};
+  }
+  [[nodiscard]] Instruction back() const { return (*this)[units_.size() - 1]; }
+
+ private:
+  static constexpr std::uint16_t kOpMask = (1u << kOpBits) - 1;
+
+  struct WideImm {
+    std::size_t pc;
+    std::uint64_t imm;
+  };
+
+  [[nodiscard]] std::uint64_t wide_imm(std::size_t pc) const {
+    return std::partition_point(wide_.begin(), wide_.end(),
+                                [pc](const WideImm& w) { return w.pc < pc; })
+        ->imm;
+  }
+
+  std::vector<std::uint16_t> units_;
+  std::vector<WideImm> wide_;  // ascending pc: push_back appends in pc order
+};
+static_assert(static_cast<unsigned>(Op::kAbort) < (1u << Code::kOpBits),
+              "every op (kAbort is the last) fits in kOpBits");
 
 /// imm encoding for kCall: (callee_slot << 16) | function_index.  The callee
 /// slot indexes the transaction's declared contract list, so bytecode never
@@ -67,8 +136,13 @@ constexpr std::uint16_t call_function(std::uint64_t imm) {
 
 struct Function {
   std::string name;
-  std::vector<Instruction> code;
+  Code code;
 };
+
+/// What the storage model charges per instruction: an op byte and an 8-byte
+/// immediate.  Fixed, so logic storage, deploy-tx sizes and Fig. 7 do not
+/// depend on Code's in-memory layout.
+inline constexpr std::uint64_t kInstructionBytes = 9;
 
 /// A deployed contract's logic (the part Jenga replicates to every shard).
 struct ContractLogic {
@@ -79,7 +153,7 @@ struct ContractLogic {
   [[nodiscard]] std::uint64_t code_size_bytes() const {
     std::uint64_t n = 0;
     for (const auto& f : functions)
-      n += 16 + f.name.size() + sizeof(Instruction) * f.code.size();
+      n += 16 + f.name.size() + kInstructionBytes * f.code.size();
     return n;
   }
 };

@@ -120,7 +120,7 @@ ExecStatus Interpreter::exec_function(std::uint16_t slot, std::uint16_t function
   };
 
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const Instruction& ins = code[pc];
+    const Instruction ins = code[pc];
     gas_used_ += gas_cost(ins.op);
     if (gas_used_ > limits_.gas_limit) return ExecStatus::kOutOfGas;
     if (++instructions_ > limits_.max_instructions) return ExecStatus::kStepLimitExceeded;

@@ -29,7 +29,9 @@ TEST(Trace, ContractsGeneratedWithRealCode) {
 }
 
 // Bytecode dominates set-up memory, so the generator leaves no spare
-// capacity behind: whole 6-instruction stanzas plus the return.
+// capacity behind: whole 6-instruction stanzas plus the return.  Every
+// immediate fits in its two-byte unit, so none falls back to Code's side
+// table.
 TEST(Trace, BytecodeSizedExactly) {
   auto gen = make_gen();
   const TraceConfig& cfg = gen.config();
@@ -39,6 +41,8 @@ TEST(Trace, BytecodeSizedExactly) {
       EXPECT_EQ(f.code.capacity(), f.code.size());
       EXPECT_EQ(f.code.size() % 6, 1u);
       EXPECT_LE(f.code.size(), cfg.function_length_max);
+      for (std::size_t pc = 0; pc < f.code.size(); ++pc)
+        ASSERT_LT(f.code[pc].imm, vm::Code::kInlineLimit) << "pc " << pc;
     }
   }
 }
