@@ -2,6 +2,14 @@
 //
 // Every content hash in the system (transaction ids, block ids, contract
 // placement, Merkle trees, Schnorr challenges) goes through this module.
+//
+// The block compression has two kernels (crypto/sha256_kernel.hpp).  On x86
+// CPUs whose CPUID reports the SHA extensions (with SSSE3 and SSE4.1), Sha256
+// runs one built on them, compiled with a function-level target attribute;
+// everywhere else it runs the portable C++ one, which the tests also use as
+// the reference.  The choice is read once from CPUID and nothing else
+// selects it.  Both compute the same function, so every digest is the same
+// on every host.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +38,6 @@ class Sha256 {
   [[nodiscard]] Hash256 finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t state_[8]{};
   std::uint64_t bit_count_ = 0;
   std::uint8_t buffer_[64]{};
