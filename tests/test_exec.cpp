@@ -129,7 +129,7 @@ Task make_add_task(const std::shared_ptr<const vm::ContractLogic>& logic, std::u
                    std::uint64_t start, std::uint8_t tag) {
   Task t;
   t.id.bytes[0] = tag;
-  t.sender = AccountId{100 + tag};  // distinct: only the contract can conflict
+  t.sender = AccountId{100u + tag};  // distinct: only the contract can conflict
   t.logic = {logic.get()};
   t.own_steps.push_back(vm::CallStep{0, 0, {arg}});
   t.input.contracts[logic->id] = ledger::ContractState{{0, start}};
