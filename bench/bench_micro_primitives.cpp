@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath the
 // experiment harness: hashing, curve arithmetic, signatures, the VM, the
-// Merkle tree, and a full simulated consensus round.
+// Merkle tree, the state trie, and a full simulated consensus round.
 #include <benchmark/benchmark.h>
 
 #include "consensus/bft.hpp"
@@ -11,6 +11,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_kernel.hpp"
 #include "ledger/portable_state.hpp"
+#include "ledger/trie.hpp"
 #include "vm/assembler.hpp"
 #include "vm/interpreter.hpp"
 #include "workload/trace.hpp"
@@ -87,6 +88,48 @@ void BM_Merkle_Root4096(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(crypto::merkle_root(leaves));
 }
 BENCHMARK(BM_Merkle_Root4096);
+
+/// `n` (path, value hash) pairs for a state trie.
+std::vector<std::pair<Hash256, Hash256>> trie_entries(std::size_t n) {
+  std::vector<std::pair<Hash256, Hash256>> entries;
+  entries.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    entries.emplace_back(crypto::sha256(key), crypto::sha256("value" + key));
+  }
+  return entries;
+}
+
+// A trie's whole life: the puts, the first root and the destructor.  5,000
+// keys is one s12-backlog shard's genesis state.
+void BM_Trie_Build(benchmark::State& state) {
+  const auto entries = trie_entries(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    ledger::MerkleTrie trie;
+    for (const auto& [path, value] : entries) trie.put(path, value);
+    benchmark::DoNotOptimize(trie.root());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Trie_Build)->Arg(5'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
+
+// One re-put of a random key with a new value, then root(): the trie's share
+// of a commit write-back.
+void BM_Trie_PutRoot(benchmark::State& state) {
+  const auto entries = trie_entries(static_cast<std::size_t>(state.range(0)));
+  ledger::MerkleTrie trie;
+  for (const auto& [path, value] : entries) trie.put(path, value);
+  benchmark::DoNotOptimize(trie.root());
+  std::vector<Hash256> values;
+  for (int i = 0; i < 1024; ++i) values.push_back(crypto::sha256("new" + std::to_string(i)));
+  Rng rng(1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    trie.put(entries[rng.uniform(entries.size())].first, values[i++ % values.size()]);
+    benchmark::DoNotOptimize(trie.root());
+  }
+}
+BENCHMARK(BM_Trie_PutRoot)->Arg(5'000);
 
 void BM_Vm_GeneratedContractTx(benchmark::State& state) {
   workload::TraceConfig cfg;
