@@ -2306,18 +2306,12 @@ Hash256 JengaSystem::state_digest() const {
 // Relay certificate verification (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
-const std::vector<std::uint64_t>& JengaSystem::source_public_ids(bool channel_group,
-                                                                 std::uint32_t gid) {
-  const std::uint64_t tag =
-      channel_group ? channel_tag(ChannelId{gid}) : shard_tag(ShardId{gid});
-  if (const auto it = group_pubids_.find(tag); it != group_pubids_.end()) return it->second;
-  // Exactly the key schedule build_replicas() gives the group's replicas.
-  const std::uint64_t seed =
-      (config_.seed ^ ((channel_group ? 0xC4A20000ULL : 0x51ED0000ULL) + gid)) +
-      epoch_ * 0xD1B54A32D192ED03ULL;
-  const std::size_t n = channel_group ? lattice_->channel_members(ChannelId{gid}).size()
-                                      : lattice_->shard_members(ShardId{gid}).size();
-  return group_pubids_.emplace(tag, consensus::group_public_ids(seed, n)).first->second;
+const consensus::GroupKeys& JengaSystem::source_keys(bool channel_group,
+                                                     std::uint32_t gid) const {
+  // The group's replicas share one key table; any member's will do.
+  const NodeId member = channel_group ? lattice_->channel_members(ChannelId{gid}).front()
+                                      : lattice_->shard_members(ShardId{gid}).front();
+  return (channel_group ? channel_replicas_ : shard_replicas_)[member.value]->keys();
 }
 
 bool JengaSystem::verify_relay_cert(const consensus::QuorumCert& cert, bool channel_group,
@@ -2343,12 +2337,13 @@ bool JengaSystem::verify_relay_cert(const consensus::QuorumCert& cert, bool chan
 
 std::optional<crypto::FastBatchEntry> JengaSystem::relay_cert_entry(
     const consensus::QuorumCert& cert, bool channel_group, std::uint32_t gid) {
-  const auto& ids = source_public_ids(channel_group, gid);
-  if (cert.sig.signers.size() != ids.size() ||
-      cert.sig.signer_count() < 2 * ((ids.size() - 1) / 3) + 1)
+  const consensus::GroupKeys& keys = source_keys(channel_group, gid);
+  if (cert.sig.signers.size() != keys.public_ids.size() ||
+      cert.sig.signer_count() < keys.quorum())
     return std::nullopt;
   return crypto::FastBatchEntry{
-      ids, consensus::vote_digest(cert.value_digest, cert.height, cert.view, /*commit_phase=*/true),
+      keys.public_ids,
+      consensus::vote_digest(cert.value_digest, cert.height, cert.view, /*commit_phase=*/true),
       &cert.sig};
 }
 

@@ -415,9 +415,10 @@ class JengaSystem {
   /// a quorum of that group.
   [[nodiscard]] std::optional<crypto::FastBatchEntry> relay_cert_entry(
       const consensus::QuorumCert& cert, bool channel_group, std::uint32_t gid);
-  /// Cached vote-key ids of a group under the CURRENT epoch's key schedule.
-  [[nodiscard]] const std::vector<std::uint64_t>& source_public_ids(bool channel_group,
-                                                                    std::uint32_t gid);
+  /// A group's vote keys under the CURRENT epoch's key schedule, read from
+  /// its replicas.
+  [[nodiscard]] const consensus::GroupKeys& source_keys(bool channel_group,
+                                                        std::uint32_t gid) const;
   void tx_shard_finished(const Hash256& tx_hash, bool ok);
   void note_decide(std::uint64_t group_tag, std::uint64_t height, const Hash256& digest);
   /// Forwarding-duty dissemination of a certified outcome (grants into a
@@ -502,8 +503,6 @@ class JengaSystem {
     bool flush_scheduled = false;
   };
   std::unordered_map<std::uint64_t, VerifyPool> verify_pools_;
-  /// Vote-key id cache: epoch-salted group tag -> public ids.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> group_pubids_;
 
   std::vector<std::unique_ptr<ShardEngine>> shards_;
   std::vector<std::unique_ptr<ChannelEngine>> channels_;
