@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath the
 // experiment harness: hashing, curve arithmetic, signatures, the VM, the
-// Merkle tree, the state trie, and a full simulated consensus round.
+// Merkle tree, the state trie, a full simulated consensus round, and building
+// a consensus group.
 #include <benchmark/benchmark.h>
 
 #include "consensus/bft.hpp"
@@ -191,6 +192,34 @@ void BM_Simulated_ConsensusRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Simulated_ConsensusRound)->Unit(benchmark::kMillisecond);
+
+/// Building one group's k replicas over one config, then freeing them: what
+/// a system pays per group when it builds its replicas (k = 60 at quarter
+/// scale, 240 at the paper's).
+void BM_Bft_GroupBuild(benchmark::State& state) {
+  using namespace jenga::consensus;
+  struct App : BftApp {
+    std::optional<ConsensusValue> propose(std::uint64_t) override { return std::nullopt; }
+    bool validate(std::uint64_t, const ConsensusValue&) override { return true; }
+    void on_decide(std::uint64_t, const ConsensusValue&, const QuorumCert&) override {}
+  };
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulator sim;
+  sim::Network net(sim, sim::NetConfig{}, Rng(1));
+  App app;
+  std::vector<std::unique_ptr<Replica>> replicas;
+  replicas.reserve(k);
+  for (auto _ : state) {
+    auto cfg = std::make_shared<BftConfig>();
+    for (std::uint32_t i = 0; i < k; ++i) cfg->members.push_back(NodeId{i});
+    for (std::uint32_t i = 0; i < k; ++i)
+      replicas.push_back(std::make_unique<Replica>(net, NodeId{i}, cfg, app));
+    benchmark::DoNotOptimize(replicas.back().get());
+    replicas.clear();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
+}
+BENCHMARK(BM_Bft_GroupBuild)->Arg(60)->Arg(240);
 
 }  // namespace
 
