@@ -63,7 +63,6 @@ PreparedExec CxFuncSystem::prepare_exec(Shard& shard, const WorkItem& item) {
   // concurrent transaction's fee/debit.
   p.balance_snapshot = slice.balances;
   p.task.input = std::move(slice);
-  p.task.access = exec::declared_access(tx);
   return p;
 }
 

@@ -152,7 +152,6 @@ PreparedExec PyramidSystem::prepare_exec(Shard& shard, const WorkItem& item) {
   p.task.id = tx.hash;
   p.task.sender = tx.sender;
   p.task.limits.gas_limit = tx.gas_limit;
-  p.task.access = exec::declared_access(tx);
   return p;
 }
 

@@ -88,7 +88,6 @@ PreparedExec SingleShardSystem::prepare_exec(Shard& shard, const WorkItem& item)
   p.task.steps_view = tx.steps;
   p.task.limits.gas_limit = tx.gas_limit;
   p.task.input = std::move(bundle);
-  p.task.access = exec::declared_access(tx);
   return p;
 }
 

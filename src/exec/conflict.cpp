@@ -1,7 +1,7 @@
 #include "exec/conflict.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <iterator>
 
 namespace jenga::exec {
 
@@ -52,78 +52,6 @@ AccessSet declared_access(const ledger::Transaction& tx) {
   s.writes.push_back(account_key(tx.sender));  // fee debit
   s.normalize();
   return s;
-}
-
-Schedule build_schedule(std::span<const AccessSet> tasks) {
-  Schedule out;
-  out.level.resize(tasks.size(), 0);
-  out.preds.resize(tasks.size());
-
-  // Per-key occupancy: the latest writer (task + level) and the latest reader
-  // since that write, plus the highest level any such reader sits on (readers
-  // of one key can spread across levels; a new writer must clear them all).
-  struct KeyState {
-    std::int64_t writer = -1;
-    std::uint32_t writer_level = 0;
-    std::int64_t reader = -1;
-    std::uint32_t max_reader_level = 0;
-  };
-  std::unordered_map<ResourceKey, KeyState> keys;
-  keys.reserve(tasks.size() * 4);
-
-  std::uint32_t depth = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const AccessSet& a = tasks[i];
-    std::uint32_t lvl = 0;
-    auto& preds = out.preds[i];
-    for (ResourceKey k : a.writes) {
-      const auto it = keys.find(k);
-      if (it == keys.end()) continue;
-      const KeyState& ks = it->second;
-      if (ks.writer >= 0) {
-        lvl = std::max(lvl, ks.writer_level + 1);
-        preds.push_back(static_cast<std::uint32_t>(ks.writer));
-      }
-      if (ks.reader >= 0) {
-        lvl = std::max(lvl, ks.max_reader_level + 1);
-        preds.push_back(static_cast<std::uint32_t>(ks.reader));
-      }
-    }
-    for (ResourceKey k : a.reads) {
-      const auto it = keys.find(k);
-      if (it == keys.end()) continue;
-      const KeyState& ks = it->second;
-      if (ks.writer >= 0) {
-        lvl = std::max(lvl, ks.writer_level + 1);
-        preds.push_back(static_cast<std::uint32_t>(ks.writer));
-      }
-    }
-    std::sort(preds.begin(), preds.end());
-    preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-    out.dep_edges += preds.size();
-    out.level[i] = lvl;
-    depth = std::max(depth, lvl + 1);
-
-    for (ResourceKey k : a.writes) {
-      KeyState& ks = keys[k];
-      ks.writer = static_cast<std::int64_t>(i);
-      ks.writer_level = lvl;
-      ks.reader = -1;  // readers before this write are now shielded by it
-      ks.max_reader_level = 0;
-    }
-    for (ResourceKey k : a.reads) {
-      KeyState& ks = keys[k];
-      ks.reader = static_cast<std::int64_t>(i);
-      ks.max_reader_level = std::max(ks.max_reader_level, lvl);
-    }
-  }
-
-  out.levels.resize(depth);
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    out.levels[out.level[i]].push_back(static_cast<std::uint32_t>(i));
-  for (const auto& l : out.levels)
-    out.max_width = std::max(out.max_width, static_cast<std::uint32_t>(l.size()));
-  return out;
 }
 
 }  // namespace jenga::exec

@@ -2,17 +2,13 @@
 //
 // Transactions declare their state footprint up front (`Transaction.contracts`
 // / `.accounts`, enforced by PortableStateView's kUndeclaredAccess abort), so
-// whether two transactions of a batch may interleave is statically known:
+// whether two transactions of a block may interleave is statically known:
 // write-write and read-write overlaps conflict, read-read does not.  The
-// scheduler turns a batch's pairwise conflicts into *canonical greedy levels*:
-// task i lands on the smallest level strictly above every earlier-in-batch
-// task it conflicts with.  The assignment depends only on the batch contents
-// and order — never on worker count or timing — which is what makes parallel
-// execution bit-identical to serial replay.
+// baselines cut each decided block into segments of mutually non-conflicting
+// items with this test, so every batch they hand exec::Engine is disjoint.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -56,29 +52,5 @@ struct AccessSet {
 /// declared resource (the view enforces nothing finer than the declaration),
 /// so everything lands in the write set.
 [[nodiscard]] AccessSet declared_access(const ledger::Transaction& tx);
-
-/// Canonical level schedule of one batch.
-struct Schedule {
-  /// Per-task level (0-based).
-  std::vector<std::uint32_t> level;
-  /// levels[l] lists the task indices of level l, ascending — the canonical
-  /// order effects are committed in.
-  std::vector<std::vector<std::uint32_t>> levels;
-  /// Direct predecessors per task (ascending, deduped): the most recent
-  /// earlier writer/readers of each of the task's keys.  A spanning subset of
-  /// the full conflict graph — enough to chain effects serially.
-  std::vector<std::vector<std::uint32_t>> preds;
-  std::uint64_t dep_edges = 0;   // sum of preds sizes
-  std::uint32_t max_width = 0;   // widest level
-
-  [[nodiscard]] std::uint32_t depth() const {
-    return static_cast<std::uint32_t>(levels.size());
-  }
-};
-
-/// Builds the canonical greedy level schedule for a batch of (normalized)
-/// access sets.  Deterministic in the batch contents alone: O(Σ keys) with a
-/// per-key last-writer / last-reader table.
-[[nodiscard]] Schedule build_schedule(std::span<const AccessSet> tasks);
 
 }  // namespace jenga::exec

@@ -6,32 +6,12 @@
 
 namespace jenga::exec {
 
-namespace {
-
-/// Overwrites the entries of `into` that `from` also carries.  Entries only
-/// `from` has are NOT copied in: a predecessor's bundle may cover resources
-/// the successor never declared, and leaking them into its output would hand
-/// the caller effects the successor had no right to produce.
-void merge_overlap(ledger::PortableState& into, const ledger::PortableState& from) {
-  for (auto& [c, st] : into.contracts) {
-    const auto it = from.contracts.find(c);
-    if (it != from.contracts.end()) st = it->second;
-  }
-  for (auto& [a, bal] : into.balances) {
-    const auto it = from.balances.find(a);
-    if (it != from.balances.end()) bal = it->second;
-  }
-}
-
-}  // namespace
-
-Engine::Engine(EngineOptions opts)
-    : workers_(std::max<std::uint32_t>(1, opts.workers)),
-      chain_conflicts_(opts.chain_conflicts) {
+Engine::Engine(EngineOptions opts) {
   // The calling thread works too, so the pool holds workers-1 threads and
   // workers == 1 stays purely single-threaded.
-  pool_.reserve(workers_ - 1);
-  for (std::uint32_t i = 0; i + 1 < workers_; ++i)
+  const std::uint32_t workers = std::max<std::uint32_t>(1, opts.workers);
+  pool_.reserve(workers - 1);
+  for (std::uint32_t i = 0; i + 1 < workers; ++i)
     pool_.emplace_back([this] { worker_loop(); });
 }
 
@@ -44,15 +24,9 @@ Engine::~Engine() {
   for (auto& t : pool_) t.join();
 }
 
-void Engine::run_claimed(std::uint32_t t, vm::ExecScratch& scratch) {
+void Engine::run_claimed(std::size_t t, vm::ExecScratch& scratch) {
   Task& task = (*tasks_)[t];
   TaskResult& out = (*results_)[t];
-  if (chain_conflicts_) {
-    // Direct predecessors live on strictly earlier levels: complete, and
-    // their writes are visible through the level barrier's mutex.
-    for (const std::uint32_t p : schedule_->preds[t])
-      if ((*results_)[p].vm.ok()) merge_overlap(task.input, (*results_)[p].output);
-  }
   ledger::PortableStateView view(std::move(task.input));
   vm::Interpreter interp(task.logic, view, task.limits, &scratch);
   out.vm = interp.run(task.sender, task.steps());
@@ -63,9 +37,9 @@ void Engine::worker_loop() {
   vm::ExecScratch scratch;
   std::unique_lock lk(mu_);
   for (;;) {
-    work_cv_.wait(lk, [&] { return shutdown_ || next_ < level_size_; });
+    work_cv_.wait(lk, [&] { return shutdown_ || next_ < size_; });
     if (shutdown_) return;
-    const std::uint32_t t = (*level_)[next_++];
+    const std::size_t t = next_++;
     lk.unlock();
     run_claimed(t, scratch);
     lk.lock();
@@ -77,51 +51,32 @@ std::vector<TaskResult> Engine::run_batch(std::vector<Task> tasks) {
   std::vector<TaskResult> results(tasks.size());
   if (tasks.empty()) return results;
 
-  std::vector<AccessSet> access;
-  access.reserve(tasks.size());
-  for (const Task& t : tasks) access.push_back(t.access);
-  const Schedule sched = build_schedule(access);
-
   vm::ExecScratch scratch;  // the calling thread's own scratch
-  for (const auto& level : sched.levels) {
+  {
     std::unique_lock lk(mu_);
     tasks_ = &tasks;
     results_ = &results;
-    schedule_ = &sched;
-    level_ = &level;
     next_ = 0;
-    level_size_ = level.size();
-    remaining_ = level.size();
-    if (workers_ > 1 && level.size() > 1) work_cv_.notify_all();
-    while (next_ < level_size_) {
-      const std::uint32_t t = level[next_++];
+    size_ = tasks.size();
+    remaining_ = tasks.size();
+    if (!pool_.empty() && tasks.size() > 1) work_cv_.notify_all();
+    while (next_ < size_) {
+      const std::size_t t = next_++;
       lk.unlock();
       run_claimed(t, scratch);
       lk.lock();
       --remaining_;
     }
     done_cv_.wait(lk, [&] { return remaining_ == 0; });
-    level_size_ = 0;  // nothing left to claim until the next level opens
+    size_ = 0;  // nothing left to claim until the next batch opens
     next_ = 0;
   }
 
-  last_ = BatchStats{static_cast<std::uint32_t>(tasks.size()), sched.depth(),
-                     sched.max_width, sched.dep_edges};
   if (metrics_ != nullptr) {
     auto& reg = *metrics_;
     reg.counter("exec.batches").inc();
     reg.counter("exec.tasks").inc(tasks.size());
     reg.histogram("exec.batch.tasks").record(static_cast<std::int64_t>(tasks.size()));
-    reg.histogram("exec.batch.levels").record(sched.depth());
-    reg.histogram("exec.batch.max_width").record(sched.max_width);
-    reg.histogram("exec.batch.dep_edges").record(static_cast<std::int64_t>(sched.dep_edges));
-    // Schedule occupancy: share of level-slots filled — the utilization upper
-    // bound achievable by any pool at least max_width wide.  Derived from the
-    // schedule alone so snapshots stay bit-identical across worker counts.
-    const std::uint64_t slots =
-        static_cast<std::uint64_t>(sched.depth()) * std::max<std::uint32_t>(1, sched.max_width);
-    reg.histogram("exec.batch.util_bound_pct")
-        .record(static_cast<std::int64_t>(tasks.size() * 100 / std::max<std::uint64_t>(1, slots)));
   }
   return results;
 }

@@ -1,19 +1,23 @@
 // Deterministic parallel transaction execution engine (DESIGN.md §7).
 //
-// A batch of tasks — each a full VM invocation against a private
-// PortableState bundle — is scheduled onto canonical conflict levels
-// (exec/conflict.hpp) and dispatched level by level onto a fixed worker pool.
-// Effects come back in input order; the schedule, the results, and every
-// metric the engine records depend only on the batch contents, so a run with
-// 8 workers is bit-identical to a serial one.  The calling thread
-// participates in each level, so `workers == 1` spawns no threads at all and
-// is exactly the historical serial path.
+// A batch of tasks — each a full VM invocation against its own private
+// PortableState bundle — is claimed task by task by a fixed worker pool.  No
+// task sees another's output, so tasks run in any order, side by side, and
+// results come back in input order.  The results and every metric the engine
+// records depend only on the batch contents, so a run with 8 workers is
+// bit-identical to a serial one.  The calling thread claims tasks too, so
+// `workers == 1` spawns no threads at all and is exactly the serial path.
 //
-// Threading contract: run_batch() blocks until the whole batch finished; all
-// shared state is exchanged under one mutex (claims are cheap next to a VM
-// run), each task/result slot is touched by exactly one worker per batch, and
-// telemetry is recorded on the calling thread after the join — the
-// MetricsRegistry itself is never shared.
+// Every system hands in disjoint bundles: Jenga's pre-prepare locks each state
+// a transaction touches, and the baselines cut each block into segments of
+// non-conflicting items (exec/conflict.hpp).  Tasks that call one contract
+// read its vm::ContractLogic concurrently; the VM never writes it.
+//
+// Threading contract: run_batch() blocks until the whole batch finished;
+// claims are taken under one mutex (cheap next to a VM run), each task/result
+// slot is touched by exactly one worker per batch, and telemetry is recorded
+// on the calling thread after the join — the MetricsRegistry itself is never
+// shared.
 #pragma once
 
 #include <condition_variable>
@@ -45,7 +49,7 @@ struct Task {
   std::vector<vm::CallStep> own_steps;
   vm::ExecLimits limits;
   ledger::PortableState input;
-  AccessSet access;
+  AccessSet access;  // not read by the engine
 
   [[nodiscard]] std::span<const vm::CallStep> steps() const {
     return own_steps.empty() ? steps_view : std::span<const vm::CallStep>(own_steps);
@@ -57,22 +61,8 @@ struct TaskResult {
   ledger::PortableState output;  // meaningful only when vm.ok()
 };
 
-/// Schedule shape of the last batch (worker-count independent).
-struct BatchStats {
-  std::uint32_t tasks = 0;
-  std::uint32_t levels = 0;
-  std::uint32_t max_width = 0;
-  std::uint64_t dep_edges = 0;
-};
-
 struct EngineOptions {
   std::uint32_t workers = 1;
-  /// When set, a task's input bundle absorbs the outputs of its direct
-  /// conflict predecessors (overlapping entries only, canonical order) before
-  /// it runs, making the batch serially equivalent over shared state.  Off by
-  /// default: Jenga and the baselines feed disjoint per-task snapshots, whose
-  /// semantics must stay exactly the historical serial ones.
-  bool chain_conflicts = false;
 };
 
 class Engine {
@@ -89,33 +79,25 @@ class Engine {
 
   /// Attaches a metrics registry (nullptr detaches).  Recording happens on
   /// the run_batch() caller's thread after the batch joined; every recorded
-  /// value derives from the schedule, never from timing or worker count.
+  /// value derives from the batch size, never from timing or worker count.
   void set_metrics(telemetry::MetricsRegistry* m) { metrics_ = m; }
-
-  [[nodiscard]] std::uint32_t workers() const { return workers_; }
-  [[nodiscard]] const BatchStats& last_batch() const { return last_; }
 
  private:
   void worker_loop();
-  void run_claimed(std::uint32_t t, vm::ExecScratch& scratch);
+  void run_claimed(std::size_t t, vm::ExecScratch& scratch);
 
-  std::uint32_t workers_;
-  bool chain_conflicts_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
-  BatchStats last_{};
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: a level opened / shutdown
-  std::condition_variable done_cv_;  // run_batch: current level drained
+  std::condition_variable work_cv_;  // workers: a batch opened / shutdown
+  std::condition_variable done_cv_;  // run_batch: every claimed task finished
   bool shutdown_ = false;
 
-  // Current level (guarded by mu_; task/result slots are claimed exclusively).
+  // Current batch (guarded by mu_; task/result slots are claimed exclusively).
   std::vector<Task>* tasks_ = nullptr;
   std::vector<TaskResult>* results_ = nullptr;
-  const Schedule* schedule_ = nullptr;
-  const std::vector<std::uint32_t>* level_ = nullptr;
   std::size_t next_ = 0;
-  std::size_t level_size_ = 0;
+  std::size_t size_ = 0;
   std::size_t remaining_ = 0;
 
   std::vector<std::thread> pool_;
