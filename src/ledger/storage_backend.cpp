@@ -15,11 +15,6 @@ void InMemoryBackend::put(std::span<const std::uint8_t> key,
   ++stats_.puts;
 }
 
-void InMemoryBackend::erase(std::span<const std::uint8_t> key) {
-  kv_.erase(std::vector<std::uint8_t>(key.begin(), key.end()));
-  ++stats_.erases;
-}
-
 void InMemoryBackend::commit(const Hash256& root) {
   last_root_ = root;
   committed_ = true;
@@ -89,13 +84,6 @@ void DurableBackend::put(std::span<const std::uint8_t> key,
   kv_[std::vector<std::uint8_t>(key.begin(), key.end())] =
       std::vector<std::uint8_t>(value.begin(), value.end());
   ++stats_.puts;
-}
-
-void DurableBackend::erase(std::span<const std::uint8_t> key) {
-  assert(opened_ && "DurableBackend: load() must run before mutations");
-  append(WalOp::kErase, key, {}, Hash256{});
-  kv_.erase(std::vector<std::uint8_t>(key.begin(), key.end()));
-  ++stats_.erases;
 }
 
 void DurableBackend::commit(const Hash256& root) {
@@ -214,9 +202,6 @@ Result<RecoveredState> DurableBackend::load() {
       switch (rec.op) {
         case WalOp::kPut:
           kv_[rec.key] = rec.value;
-          break;
-        case WalOp::kErase:
-          kv_.erase(rec.key);
           break;
         case WalOp::kCommit:
           out.committed_root = rec.root;

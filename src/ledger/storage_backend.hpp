@@ -10,7 +10,7 @@
 //     after a crash must land on a root the oracle passed through.
 //
 //   DurableBackend — write-ahead log + periodic snapshots over a StorageEnv.
-//     Every put/erase appends a CRC-framed WAL record; commit(root) appends a
+//     Every put appends a CRC-framed WAL record; commit(root) appends a
 //     kCommit record carrying the authenticated root and issues the fsync.
 //     Every `snapshot_interval` commits the full key/value set is written to
 //     a fresh checksummed snapshot file (write-tmp, fsync, rename), after
@@ -41,7 +41,6 @@ namespace jenga::ledger {
 /// Durability traffic counters (folded into telemetry / the storage bench).
 struct BackendStats {
   std::uint64_t puts = 0;
-  std::uint64_t erases = 0;
   std::uint64_t commits = 0;
   std::uint64_t wal_records = 0;
   std::uint64_t wal_bytes = 0;
@@ -67,7 +66,6 @@ class StorageBackend {
 
   [[nodiscard]] virtual const char* name() const = 0;
   virtual void put(std::span<const std::uint8_t> key, std::span<const std::uint8_t> value) = 0;
-  virtual void erase(std::span<const std::uint8_t> key) = 0;
   /// Durability barrier at a decided block; `root` is the authenticated state
   /// root after the batch.
   virtual void commit(const Hash256& root) = 0;
@@ -85,7 +83,6 @@ class InMemoryBackend final : public StorageBackend {
  public:
   [[nodiscard]] const char* name() const override { return "in-memory"; }
   void put(std::span<const std::uint8_t> key, std::span<const std::uint8_t> value) override;
-  void erase(std::span<const std::uint8_t> key) override;
   void commit(const Hash256& root) override;
   [[nodiscard]] Result<RecoveredState> load() override;
 
@@ -109,7 +106,6 @@ class DurableBackend final : public StorageBackend {
 
   [[nodiscard]] const char* name() const override { return "durable"; }
   void put(std::span<const std::uint8_t> key, std::span<const std::uint8_t> value) override;
-  void erase(std::span<const std::uint8_t> key) override;
   void commit(const Hash256& root) override;
   [[nodiscard]] Result<RecoveredState> load() override;
 

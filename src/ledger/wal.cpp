@@ -33,7 +33,6 @@ std::vector<std::uint8_t> encode_record(const WalRecord& record) {
       payload.blob(record.key);
       payload.blob(record.value);
       break;
-    case WalOp::kErase:
     case WalOp::kGeneration:
       payload.blob(record.key);
       break;
@@ -61,10 +60,6 @@ bool decode_payload(std::span<const std::uint8_t> payload, WalRecord& out) {
       out.op = WalOp::kPut;
       out.key = r.blob();
       out.value = r.blob();
-      break;
-    case WalOp::kErase:
-      out.op = WalOp::kErase;
-      out.key = r.blob();
       break;
     case WalOp::kGeneration:
       out.op = WalOp::kGeneration;
