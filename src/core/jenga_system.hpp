@@ -74,8 +74,7 @@ enum class Pipeline : std::uint8_t { kFull = 0, kNoLattice, kNoGlobalLogic };
 
 /// What sits under each shard's StateStore (DESIGN.md §9).
 enum class StorageBackendKind : std::uint8_t {
-  kNone = 0,   // trie-authenticated only, nothing persisted (pre-PR behaviour)
-  kInMemory,   // InMemoryBackend: the bit-identity oracle
+  kNone = 0,   // trie-authenticated only, nothing persisted
   kDurable,    // DurableBackend over a per-shard MemStorageEnv (WAL + snapshots)
 };
 

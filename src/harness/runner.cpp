@@ -159,7 +159,7 @@ RunResult run_experiment(const RunConfig& config) {
   // clean runs neither pay for its per-link sampling nor change behaviour.
   std::unique_ptr<security::FailureDetector> detector;
   if (config.self_healing && config.faults_plan.event_count() > 0 && jenga) {
-    detector = std::make_unique<security::FailureDetector>(sim, config.detector);
+    detector = std::make_unique<security::FailureDetector>(sim);
     detector->arm(true);
     net.set_arrival_observer(detector.get());
   }

@@ -113,7 +113,6 @@ struct RunConfig {
   /// hedged 2PC legs.  Clean runs and baselines get no detector, so they stay
   /// bit-identical with this on or off.
   bool self_healing = true;
-  security::DetectorConfig detector;
   /// Stuck-2PC recovery ladder knobs (Jenga kinds; see core/recovery.hpp).
   core::RecoveryConfig recovery;
 };
