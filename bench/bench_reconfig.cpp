@@ -72,7 +72,8 @@ CellResult run_cell(SimTime interval, double drop, int churn) {
 
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(cfg.seed));
-  core::JengaSystem system(sim, net, cfg, harness::make_genesis(gen));
+  telemetry::Telemetry telemetry;
+  core::JengaSystem system(sim, net, telemetry, cfg, harness::make_genesis(gen));
   security::FaultInjector injector(sim, net, system);
   const std::uint64_t initial_balance = system.total_account_balance();
   system.start();
@@ -118,8 +119,8 @@ CellResult run_cell(SimTime interval, double drop, int churn) {
   r.submitted = st.submitted;
   r.committed = st.committed;
   r.aborted = st.aborted;
-  r.transitions = system.epoch_stats().transitions;
-  r.requeued = system.epoch_stats().txs_requeued;
+  r.transitions = report.epoch_transitions;
+  r.requeued = report.txs_requeued;
   r.tps = st.tps();
   const auto q = st.latency_quantiles_seconds({0.5, 0.99});
   r.p50_s = q[0];

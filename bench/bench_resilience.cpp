@@ -90,8 +90,6 @@ CellResult run_cell(double drop, int byz_per_shard) {
 
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(cfg.seed));
-  core::JengaSystem system(sim, net, cfg, harness::make_genesis(gen));
-  security::FaultInjector injector(sim, net, system);
   auto telemetry = std::make_shared<telemetry::Telemetry>();
   // Chaos cells run with the full observability layer on (it is passive):
   // the --trace-out export carries the causal span DAG, and any audit
@@ -103,7 +101,8 @@ CellResult run_cell(double drop, int byz_per_shard) {
                 static_cast<int>(drop * 100), byz_per_shard);
   telemetry->flight.set_dump_path(dump_prefix);
   net.set_telemetry(telemetry.get());
-  system.set_telemetry(telemetry.get());
+  core::JengaSystem system(sim, net, *telemetry, cfg, harness::make_genesis(gen));
+  security::FaultInjector injector(sim, net, system);
   const std::uint64_t initial_balance = system.total_account_balance();
   system.start();
 
@@ -161,10 +160,9 @@ CellResult run_cell(double drop, int byz_per_shard) {
     // Capture the post-mortem window (also written to <dump_prefix>-N.jsonl).
     telemetry->flight.trigger("invariant.violation");
   }
-  // Detach before net/system go out of scope (the telemetry outlives them
+  // Detach before the network goes out of scope (the telemetry outlives it
   // through the shared_ptr in the result).
   net.set_telemetry(nullptr);
-  system.set_telemetry(nullptr);
   return r;
 }
 
@@ -186,7 +184,7 @@ struct GrayCellResult {
   std::uint64_t stuck_at_end = 0;    // wedged rounds left (must be 0)
   std::uint64_t gray_dropped = 0;
   security::DetectorStats detector;
-  core::RecoveryStats recovery;
+  std::shared_ptr<telemetry::Telemetry> telemetry;  // the recovery.* counters
   double detect_s = 0.0;   // window start -> first suspicion (0 = none raised)
   double recover_s = 0.0;  // window start -> last ladder resolution (0 = none)
   double postheal_p99_s = 0.0;
@@ -213,16 +211,15 @@ GrayCellResult run_gray_cell(const std::string& name,
 
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(cfg.seed));
-  core::JengaSystem system(sim, net, cfg, harness::make_genesis(gen));
-  security::FaultInjector injector(sim, net, system);
-  security::FailureDetector detector(sim);
-  net.set_arrival_observer(&detector);
-  system.set_failure_detector(&detector);
   auto telemetry = std::make_shared<telemetry::Telemetry>();
   telemetry->flight.configure(kShards * 8, 64);
   telemetry->flight.set_dump_path(("flight_gray_" + name).c_str());
   net.set_telemetry(telemetry.get());
-  system.set_telemetry(telemetry.get());
+  core::JengaSystem system(sim, net, *telemetry, cfg, harness::make_genesis(gen));
+  security::FaultInjector injector(sim, net, system);
+  security::FailureDetector detector(sim);
+  net.set_arrival_observer(&detector);
+  system.set_failure_detector(&detector);
   const std::uint64_t initial_balance = system.total_account_balance();
   system.start();
 
@@ -266,13 +263,14 @@ GrayCellResult run_gray_cell(const std::string& name,
   r.stuck_at_end = system.twopc_stuck_now();
   r.gray_dropped = net.fault_stats().gray_dropped;
   r.detector = detector.stats();
-  r.recovery = system.recovery_stats();
+  r.telemetry = telemetry;
   if (r.detector.first_suspicion_at > 0)
     r.detect_s = static_cast<double>(r.detector.first_suspicion_at - kWindowStart) /
                  static_cast<double>(kSecond);
-  if (r.recovery.last_resolved_at > 0)
-    r.recover_s = static_cast<double>(r.recovery.last_resolved_at - kWindowStart) /
-                  static_cast<double>(kSecond);
+  const SimTime last_resolved = telemetry->registry.gauge_value("recovery.last_resolved_us");
+  if (last_resolved > 0)
+    r.recover_s =
+        static_cast<double>(last_resolved - kWindowStart) / static_cast<double>(kSecond);
   std::vector<SimTime> tail(st.commit_latencies.begin() +
                                 static_cast<std::ptrdiff_t>(
                                     std::min(preheal_samples, st.commit_latencies.size())),
@@ -288,7 +286,6 @@ GrayCellResult run_gray_cell(const std::string& name,
     telemetry->flight.trigger("invariant.violation");
   }
   net.set_telemetry(nullptr);
-  system.set_telemetry(nullptr);
   net.set_arrival_observer(nullptr);
   system.set_failure_detector(nullptr);
   return r;
@@ -299,6 +296,9 @@ std::string gray_to_json(const std::vector<GrayCellResult>& cells) {
   out << "{\"bench\":\"gray\",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const GrayCellResult& c = cells[i];
+    const auto count = [&c](const char* name) {
+      return static_cast<unsigned long long>(c.telemetry->registry.counter_value(name));
+    };
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
@@ -316,13 +316,9 @@ std::string gray_to_json(const std::vector<GrayCellResult>& cells) {
         static_cast<unsigned long long>(c.gray_dropped),
         static_cast<unsigned long long>(c.detector.samples),
         static_cast<unsigned long long>(c.detector.suspicions), c.detect_s,
-        static_cast<unsigned long long>(c.recovery.probes_sent),
-        static_cast<unsigned long long>(c.recovery.abort_queries),
-        static_cast<unsigned long long>(c.recovery.refunds),
-        static_cast<unsigned long long>(c.recovery.retries),
-        static_cast<unsigned long long>(c.recovery.resolved),
-        static_cast<unsigned long long>(c.recovery.hedged_sends), c.recover_s,
-        c.postheal_p99_s);
+        count("recovery.probes"), count("recovery.abort_queries"), count("recovery.refunds"),
+        count("recovery.retries"), count("recovery.resolved"), count("recovery.hedged_sends"),
+        c.recover_s, c.postheal_p99_s);
     out << (i ? "," : "") << buf;
   }
   out << "]}";
@@ -384,12 +380,14 @@ void run_gray_sweep(jenga::bench::ShapeReporter& rep) {
               "invariants");
   for (const CellSpec& spec : specs) {
     GrayCellResult r = run_gray_cell(spec.name, spec.gray);
+    const telemetry::MetricsRegistry& reg = r.telemetry->registry;
     std::printf("%-18s %-10llu %-8llu %-8llu %-8llu %-9.2f %-9.2f %-12.3f %-10s\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.committed),
                 static_cast<unsigned long long>(r.stuck_flagged),
-                static_cast<unsigned long long>(r.recovery.probes_sent),
-                static_cast<unsigned long long>(r.recovery.abort_queries), r.detect_s,
-                r.recover_s, r.postheal_p99_s, r.invariants_ok ? "ok" : "VIOLATION");
+                static_cast<unsigned long long>(reg.counter_value("recovery.probes")),
+                static_cast<unsigned long long>(reg.counter_value("recovery.abort_queries")),
+                r.detect_s, r.recover_s, r.postheal_p99_s,
+                r.invariants_ok ? "ok" : "VIOLATION");
     std::fflush(stdout);
     cells.push_back(std::move(r));
   }

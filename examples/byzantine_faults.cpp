@@ -27,11 +27,12 @@ int main() {
 
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(5));
+  telemetry::Telemetry telemetry;  // counters and per-tx phase tracing
   core::JengaConfig config;
   config.num_shards = 2;
   config.nodes_per_shard = 8;  // quorum 6-of-8 per group: tolerates 2 silent
   config.view_timeout = 10 * kSecond;
-  core::JengaSystem jenga(sim, net, config, genesis);
+  core::JengaSystem jenga(sim, net, telemetry, config, genesis);
   jenga.start();
 
   // Silence 2 nodes of shard 0 — below the 1/3 threshold of every group they

@@ -119,10 +119,11 @@ int main() {
 
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(3));
+  telemetry::Telemetry telemetry;  // counters and per-tx phase tracing
   core::JengaConfig config;
   config.num_shards = 3;
   config.nodes_per_shard = 6;
-  core::JengaSystem jenga(sim, net, config, genesis);
+  core::JengaSystem jenga(sim, net, telemetry, config, genesis);
   jenga.start();
 
   std::printf("token A on shard %u, token B on shard %u, pool on shard %u\n",

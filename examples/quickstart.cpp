@@ -46,10 +46,11 @@ int main() {
   // --- 3. A 2x2 lattice: 2 state shards x 2 execution channels, 8 nodes ----
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(7));
+  telemetry::Telemetry telemetry;  // counters and per-tx phase tracing
   core::JengaConfig config;
   config.num_shards = 2;
   config.nodes_per_shard = 4;
-  core::JengaSystem jenga(sim, net, config, genesis);
+  core::JengaSystem jenga(sim, net, telemetry, config, genesis);
   jenga.start();
 
   std::printf("lattice: %u state shards x %u channels, %u nodes, subgroups of %u\n",

@@ -78,10 +78,11 @@ int main() {
 
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(11));
+  telemetry::Telemetry telemetry;  // counters and per-tx phase tracing
   core::JengaConfig config;
   config.num_shards = 2;
   config.nodes_per_shard = 4;
-  core::JengaSystem jenga(sim, net, config, genesis);
+  core::JengaSystem jenga(sim, net, telemetry, config, genesis);
   jenga.start();
 
   const ShardId train_shard = ledger::shard_of_contract(ContractId{0}, 2);

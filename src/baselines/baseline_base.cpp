@@ -56,12 +56,14 @@ struct BaselineSystem::App final : consensus::BftApp {
   }
 };
 
-BaselineSystem::BaselineSystem(sim::Simulator& sim, sim::Network& net, BaselineConfig config,
+BaselineSystem::BaselineSystem(sim::Simulator& sim, sim::Network& net,
+                               telemetry::Telemetry& telemetry, BaselineConfig config,
                                Genesis genesis)
-    : sim_(sim), net_(net), config_(config), genesis_(std::move(genesis)) {
+    : sim_(sim), net_(net), telemetry_(telemetry), config_(config), genesis_(std::move(genesis)) {
   exec::EngineOptions eo;
   eo.workers = config_.exec_workers;
   exec_engine_ = std::make_unique<exec::Engine>(eo);
+  exec_engine_->set_metrics(&telemetry_.registry);
 
   for (std::uint32_t s = 0; s < config_.num_shards; ++s)
     shards_.push_back(std::make_unique<Shard>(ShardId{s}));
@@ -95,6 +97,7 @@ BaselineSystem::BaselineSystem(sim::Simulator& sim, sim::Network& net, BaselineC
     app->shard = shards_[s.value].get();
     app->node = node;
     replicas_[i] = std::make_unique<consensus::Replica>(net_, node, cfg[s.value], *app);
+    replicas_[i]->set_telemetry(&telemetry_);
     apps_[i] = std::move(app);
     net_.register_node(node, [this, node](const sim::Message& m) { on_node_message(node, m); });
   }
@@ -147,20 +150,13 @@ NodeId BaselineSystem::contact(ShardId s) const {
                 static_cast<std::uint32_t>(contact_rr_ % config_.nodes_per_shard)};
 }
 
-void BaselineSystem::set_telemetry(telemetry::Telemetry* t) {
-  telemetry_ = t;
-  exec_engine_->set_metrics(t == nullptr ? nullptr : &t->registry);
-  for (auto& r : replicas_)
-    if (r) r->set_telemetry(t);
-}
-
 void BaselineSystem::submit(TxPtr tx) {
   const SimTime now = sim_.now();
   ++stats_.submitted;
   if (stats_.first_submit_time == 0 && stats_.submitted == 1) stats_.first_submit_time = now;
   const auto involved = involved_shards(*tx);
   tracker_[tx->hash] = TrackEntry{now, static_cast<std::uint32_t>(involved.size()), false};
-  if (telemetry_ != nullptr) telemetry_->tracer.on_submit(tx->hash, now);
+  telemetry_.tracer.on_submit(tx->hash, now);
   ++contact_rr_;
 
   WorkItem item;
@@ -302,7 +298,7 @@ void BaselineSystem::decide(Shard& shard, NodeId node, std::uint64_t height,
   };
 
   for (const WorkItem& item : payload->items) {
-    if (telemetry_ != nullptr && item.tx) {
+    if (item.tx) {
       // Classify the decided item onto the shared phase partition so the
       // latency-breakdown benches compare baselines against Jenga like for
       // like: state movement/locking, execution, commit application.
@@ -319,7 +315,7 @@ void BaselineSystem::decide(Shard& shard, NodeId node, std::uint64_t height,
           break;
         default: ph = telemetry::Phase::kExecute; break;
       }
-      telemetry_->tracer.phase_event(item.tx->hash, ph, shard.id.value, sim_.now());
+      telemetry_.tracer.phase_event(item.tx->hash, ph, shard.id.value, sim_.now());
     }
     if (item.tx && is_exec_item(item)) {
       exec::AccessSet access = exec::declared_access(*item.tx);
@@ -471,12 +467,10 @@ void BaselineSystem::tx_shard_finished(const Hash256& tx_hash, bool ok) {
     stats_.commit_latencies.push_back(sim_.now() - e.submitted);
     stats_.last_commit_time = std::max(stats_.last_commit_time, sim_.now());
   }
-  if (telemetry_ != nullptr) {
-    telemetry_->tracer.on_finish(tx_hash, !e.aborted, sim_.now());
-    telemetry_->registry.counter(e.aborted ? "tx.aborted" : "tx.committed").inc();
-    if (!e.aborted)
-      telemetry_->registry.histogram("tx.commit_latency_us").record(sim_.now() - e.submitted);
-  }
+  telemetry_.tracer.on_finish(tx_hash, !e.aborted, sim_.now());
+  telemetry_.registry.counter(e.aborted ? "tx.aborted" : "tx.committed").inc();
+  if (!e.aborted)
+    telemetry_.registry.histogram("tx.commit_latency_us").record(sim_.now() - e.submitted);
   tracker_.erase(it);
 }
 

@@ -15,8 +15,9 @@ namespace jenga::baselines {
 
 class CxFuncSystem final : public BaselineSystem {
  public:
-  CxFuncSystem(sim::Simulator& sim, sim::Network& net, BaselineConfig config, Genesis genesis)
-      : BaselineSystem(sim, net, config, std::move(genesis)) {
+  CxFuncSystem(sim::Simulator& sim, sim::Network& net, telemetry::Telemetry& telemetry,
+               BaselineConfig config, Genesis genesis)
+      : BaselineSystem(sim, net, telemetry, config, std::move(genesis)) {
     place_contracts();
   }
 

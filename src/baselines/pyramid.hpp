@@ -19,8 +19,9 @@ namespace jenga::baselines {
 
 class PyramidSystem final : public BaselineSystem {
  public:
-  PyramidSystem(sim::Simulator& sim, sim::Network& net, BaselineConfig config, Genesis genesis)
-      : BaselineSystem(sim, net, config, std::move(genesis)) {
+  PyramidSystem(sim::Simulator& sim, sim::Network& net, telemetry::Telemetry& telemetry,
+                BaselineConfig config, Genesis genesis)
+      : BaselineSystem(sim, net, telemetry, config, std::move(genesis)) {
     place_contracts();
   }
 

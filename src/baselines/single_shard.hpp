@@ -15,9 +15,9 @@ namespace jenga::baselines {
 
 class SingleShardSystem final : public BaselineSystem {
  public:
-  SingleShardSystem(sim::Simulator& sim, sim::Network& net, BaselineConfig config,
-                    Genesis genesis)
-      : BaselineSystem(sim, net, config, std::move(genesis)) {
+  SingleShardSystem(sim::Simulator& sim, sim::Network& net, telemetry::Telemetry& telemetry,
+                    BaselineConfig config, Genesis genesis)
+      : BaselineSystem(sim, net, telemetry, config, std::move(genesis)) {
     place_contracts();
   }
 

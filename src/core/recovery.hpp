@@ -41,18 +41,6 @@ struct RecoveryConfig {
   SimTime backoff = 10 * kSecond;
 };
 
-struct RecoveryStats {
-  std::uint64_t probes_sent = 0;        // kProbe re-requests
-  std::uint64_t abort_queries = 0;      // kAbortQuery escalations
-  std::uint64_t acks_recovered = 0;     // rounds settled by kCredited / probe re-ack
-  std::uint64_t refunds = 0;            // never-credited debits returned
-  std::uint64_t retries = 0;            // fresh attempts re-ingested after a refund
-  std::uint64_t terminal_aborts = 0;    // retry budget exhausted
-  std::uint64_t hedged_sends = 0;       // duplicate legs to a backup contact
-  std::uint64_t resolved = 0;           // flagged-stuck rounds that finalized
-  SimTime last_resolved_at = 0;
-};
-
 /// Per-round ladder position, embedded in the coordinator's inflight entry.
 struct LadderState {
   std::uint32_t rung = 0;     // actions taken so far on this attempt

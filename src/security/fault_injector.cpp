@@ -204,16 +204,16 @@ InvariantReport check_invariants(const core::JengaSystem& sys, std::uint64_t ini
   report.actual_balance = sys.total_account_balance();
   report.divergent_decides = sys.divergent_decides();
   report.limbo_txs = sys.in_flight();
-  const auto& epoch = sys.epoch_stats();
-  report.boundary_lock_leaks = epoch.boundary_lock_leaks;
-  report.boundary_balance_mismatches = epoch.boundary_balance_mismatches;
-  report.epoch_transitions = epoch.transitions;
-  report.txs_requeued = epoch.txs_requeued;
-  const auto& sync = sys.state_sync_stats();
-  report.state_sync_root_mismatches = sync.root_mismatches;
-  report.state_sync_proof_rejections = sync.proof_rejections;
-  report.state_sync_full_syncs = sync.full_syncs;
-  report.storage_recovery_refusals = sync.recovery_refusals;
+  report.boundary_lock_leaks = sys.boundary_lock_leaks();
+  report.boundary_balance_mismatches = sys.boundary_balance_mismatches();
+  report.state_sync_root_mismatches = sys.state_sync_root_mismatches();
+  // Every cutover advances the epoch by one.
+  report.epoch_transitions = sys.current_epoch();
+  const telemetry::MetricsRegistry& reg = sys.telemetry().registry;
+  report.txs_requeued = reg.counter_value("epoch.txs_requeued");
+  report.state_sync_proof_rejections = reg.counter_value("state_sync.proof_rejections");
+  report.state_sync_full_syncs = reg.counter_value("state_sync.full_syncs");
+  report.storage_recovery_refusals = reg.counter_value("storage.recovery_refusals");
   return report;
 }
 

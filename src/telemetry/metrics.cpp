@@ -119,6 +119,16 @@ const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
+std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
+  const Counter* c = find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
+  const Gauge* g = find_gauge(name);
+  return g == nullptr ? 0 : g->value();
+}
+
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;

@@ -99,6 +99,9 @@ class MetricsRegistry {
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
   [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
+  /// Read-back by name: a metric nothing recorded reads 0.
+  [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
+  [[nodiscard]] std::int64_t gauge_value(std::string_view name) const;
 
   [[nodiscard]] const std::map<std::string, Counter, std::less<>>& counters() const {
     return counters_;

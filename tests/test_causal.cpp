@@ -353,14 +353,12 @@ TEST(FlightRecorderRun, TwoPcStuckUnderPartitionDumpsLineage) {
   workload::TraceGenerator gen(tc, Rng(3));
   sim::Simulator sim;
   sim::Network net(sim, sim::NetConfig{}, Rng(cfg.seed));
-  core::JengaSystem system(sim, net, cfg, harness::make_genesis(gen));
-  security::FaultInjector injector(sim, net, system);
-
   telemetry::Telemetry telem;
   telem.causal.enable(true);
   telem.flight.configure(16, 64);
   net.set_telemetry(&telem);
-  system.set_telemetry(&telem);
+  core::JengaSystem system(sim, net, telem, cfg, harness::make_genesis(gen));
+  security::FaultInjector injector(sim, net, system);
   system.start();
 
   security::PartitionWindow window;
@@ -393,7 +391,6 @@ TEST(FlightRecorderRun, TwoPcStuckUnderPartitionDumpsLineage) {
   EXPECT_GT(sum.lineage_lines, 0u) << "stuck tx lineage missing from the dump";
 
   net.set_telemetry(nullptr);
-  system.set_telemetry(nullptr);
 }
 
 TEST(FlightRecorderRun, InvariantViolationDumpIsWrittenToDisk) {
