@@ -34,6 +34,11 @@ const GroupKeys& BftConfig::group_keys() const {
 
 namespace {
 
+/// A leader with nothing to propose asks its app again after this long.
+constexpr SimTime kProposeRetry = 50 * kMillisecond;
+/// Every consensus message stays inside its group.
+constexpr sim::TrafficClass kGroupTraffic = sim::TrafficClass::kIntraShard;
+
 /// Rumor identity of a proposal broadcast: the same (group, height, view,
 /// value) proposed by any sender dedups to one spread.
 std::uint64_t proposal_rumor_id(std::uint64_t group_tag, std::uint64_t height,
@@ -93,11 +98,11 @@ bool Replica::verify_cert(const QuorumCert& cert, bool commit_phase) const {
 
 void Replica::broadcast(const sim::Message& msg, bool gossip, std::uint64_t rumor_id) {
   if (stopped_) return;
-  if (gossip && config_->use_gossip_for_proposal) {
+  if (gossip) {
     net_.broadcast(sim::BroadcastKind::kProposal, self_, config_->members, rumor_id, msg,
-                   config_->traffic);
+                   kGroupTraffic);
   } else {
-    net_.multicast(self_, config_->members, msg, config_->traffic);
+    net_.multicast(self_, config_->members, msg, kGroupTraffic);
   }
 }
 
@@ -108,7 +113,7 @@ void Replica::send_to(NodeId to, const sim::Message& msg) {
     net_.simulator().schedule_after(0, [this, msg] { on_message(msg); });
     return;
   }
-  net_.send(self_, to, msg, config_->traffic);
+  net_.send(self_, to, msg, kGroupTraffic);
 }
 
 void Replica::set_telemetry(telemetry::Telemetry* t) {
@@ -202,7 +207,7 @@ void Replica::try_propose() {
   auto value = app_.propose(next_height_);
   if (!value) {
     const std::uint64_t h = next_height_;
-    net_.simulator().schedule_after(config_->propose_retry, [this, h] {
+    net_.simulator().schedule_after(kProposeRetry, [this, h] {
       if (next_height_ == h && is_leader()) try_propose();
     });
     return;
@@ -284,9 +289,9 @@ void Replica::propose_equivocating(const ConsensusValue& value) {
       victim_set = true;
       victim_got_a = give_a;
     }
-    net_.send(self_, to, give_a ? msg_a : msg_b, config_->traffic);
+    net_.send(self_, to, give_a ? msg_a : msg_b, kGroupTraffic);
   }
-  if (victim_set) net_.send(self_, victim, victim_got_a ? msg_b : msg_a, config_->traffic);
+  if (victim_set) net_.send(self_, victim, victim_got_a ? msg_b : msg_a, kGroupTraffic);
   // Deliberately do NOT set proposal_: the equivocator never assembles a
   // certificate; it only tries to wedge the height.
 }

@@ -92,10 +92,7 @@ struct BftConfig {
   std::vector<NodeId> members;       // ordered group membership
   std::uint64_t group_tag = 0;       // distinguishes co-resident groups
   std::uint64_t crypto_seed = 1;     // derives per-member vote keys
-  SimTime propose_retry = 50 * kMillisecond;
   SimTime view_timeout = 20 * kSecond;
-  sim::TrafficClass traffic = sim::TrafficClass::kIntraShard;
-  bool use_gossip_for_proposal = true;
 
   /// The group's vote keys, derived from `crypto_seed` for each of `members`
   /// on first use, so set both before building the first Replica.  Every

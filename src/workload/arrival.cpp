@@ -9,7 +9,6 @@ const char* arrival_mode_name(ArrivalMode m) {
   switch (m) {
     case ArrivalMode::kPoisson: return "poisson";
     case ArrivalMode::kBursty: return "bursty";
-    case ArrivalMode::kDiurnal: return "diurnal";
   }
   return "?";
 }
@@ -32,11 +31,6 @@ double ArrivalProcess::rate_at(SimTime t) const {
       const SimTime phase = config_.burst_period > 0 ? t % config_.burst_period : 0;
       return phase < config_.burst_duration ? config_.rate_tps * config_.burst_multiplier
                                             : config_.rate_tps;
-    }
-    case ArrivalMode::kDiurnal: {
-      const double period = static_cast<double>(std::max<SimTime>(config_.diurnal_period, 1));
-      const double phase = 2.0 * 3.14159265358979323846 * static_cast<double>(t) / period;
-      return config_.rate_tps * (1.0 + config_.diurnal_amplitude * std::sin(phase));
     }
   }
   return config_.rate_tps;

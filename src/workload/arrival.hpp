@@ -8,8 +8,6 @@
 //   kPoisson — constant λ = rate_tps.
 //   kBursty  — λ is rate_tps except inside periodic burst windows, where it
 //              is multiplied by burst_multiplier (flash crowds / NFT mints).
-//   kDiurnal — λ = rate_tps × (1 + amplitude × sin(2πt/period)): the slow
-//              day/night swing, compressed to simulation scale.
 //
 // On top of the mode shape sits an external multiplier (the FaultInjector's
 // scripted overload bursts and the client's backpressure throttle both feed
@@ -27,7 +25,6 @@ namespace jenga::workload {
 enum class ArrivalMode : std::uint8_t {
   kPoisson,
   kBursty,
-  kDiurnal,
 };
 
 [[nodiscard]] const char* arrival_mode_name(ArrivalMode m);
@@ -42,10 +39,6 @@ struct ArrivalConfig {
   SimTime burst_period = 20 * kSecond;
   SimTime burst_duration = 4 * kSecond;
   double burst_multiplier = 5.0;
-
-  // kDiurnal: sinusoidal modulation, amplitude in [0, 1).
-  SimTime diurnal_period = 120 * kSecond;
-  double diurnal_amplitude = 0.6;
 };
 
 /// Client-side retry schedule: exponential backoff with multiplicative
