@@ -4,7 +4,11 @@
 // output bundle is asserted identical across worker counts; only wall-clock
 // may change.  The headline check (low-skew speedup at 8 workers >= 2x
 // serial) needs real cores, so it is checked only when hardware_concurrency()
-// >= 4 and printed informationally otherwise.
+// >= 4 and printed informationally otherwise.  It gates on the median of
+// interleaved serial/8-worker pairs, not on the grid's best-of cells: a
+// batch takes milliseconds, so host load that lands on one cell and not the
+// other would otherwise decide the verdict.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -86,6 +90,41 @@ struct Sample {
   std::uint64_t digest = 0;
 };
 
+/// Wall seconds of one run of the whole batch.
+double time_batch(exec::Engine& engine, const BatchSource& src) {
+  auto tasks = make_tasks(src);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto results = engine.run_batch(std::move(tasks));
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Serial time over 8-worker time on `src`, one ratio per back-to-back pair,
+/// sorted.  Pairs alternate which engine runs first, so a load swing on the
+/// host hits both sides of a pair alike.
+std::vector<double> paired_speedups(const BatchSource& src, int pairs) {
+  exec::EngineOptions serial_opts;
+  serial_opts.workers = 1;
+  exec::EngineOptions parallel_opts;
+  parallel_opts.workers = 8;
+  exec::Engine serial(serial_opts);
+  exec::Engine parallel(parallel_opts);
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double serial_s = 0;
+    double parallel_s = 0;
+    if (p % 2 == 0) {
+      serial_s = time_batch(serial, src);
+      parallel_s = time_batch(parallel, src);
+    } else {
+      parallel_s = time_batch(parallel, src);
+      serial_s = time_batch(serial, src);
+    }
+    ratios.push_back(serial_s / parallel_s);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios;
+}
+
 Sample run_once(const BatchSource& src, std::uint32_t workers, int reps) {
   exec::EngineOptions eo;
   eo.workers = workers;
@@ -150,8 +189,13 @@ int main() {
       deterministic &= grid[{skew, w}].digest == grid[{skew, 1}].digest;
   rep.check(deterministic, "exec: result digests bit-identical across 1/2/4/8 workers");
 
-  const double speedup8 = grid[{0.0, 8}].tasks_per_sec / grid[{0.0, 1}].tasks_per_sec;
-  std::printf("low-skew speedup at 8 workers: %.2fx (cores=%u)\n", speedup8, cores);
+  const int pairs = 9;
+  const std::vector<double> ratios = paired_speedups(make_source(0.0, batch), pairs);
+  std::printf("low-skew 8-worker/serial pairs:");
+  for (const double r : ratios) std::printf(" %.2f", r);
+  const double speedup8 = ratios[ratios.size() / 2];
+  std::printf("\nlow-skew speedup at 8 workers: %.2fx median of %d pairs (cores=%u)\n",
+              speedup8, pairs, cores);
   if (cores >= 4) {
     rep.check(speedup8 >= 2.0, "exec: low-skew 8-worker speedup >= 2x serial");
   } else {
