@@ -5,9 +5,10 @@
 // math for keyed 64-bit hashes while keeping the exact same *interface
 // semantics* (sign/verify/aggregate with a signer bitmap) and — crucially —
 // the same *wire sizes*: message size accounting in simnet always charges
-// for full-size Schnorr/BLS-equivalent signatures, so the network model is
-// unaffected by which provider is active.  Tests cover the equivalence of
-// the two providers' observable behaviour.
+// for full-size Schnorr/BLS-equivalent signatures.  Every replica, relay
+// verifier, test and example uses FastCrypto; there is no provider switch,
+// and the real Schnorr multisig in crypto/schnorr.hpp runs only under
+// test_schnorr.  No test compares the two schemes.
 #pragma once
 
 #include <cstdint>
