@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath the
 // experiment harness: hashing, curve arithmetic, signatures, the VM, the
-// Merkle tree, the state trie, a full simulated consensus round, and building
-// a consensus group.
+// trace generator, the Merkle tree, the state trie, a full simulated
+// consensus round, and building a consensus group.
 #include <benchmark/benchmark.h>
 
 #include "consensus/bft.hpp"
@@ -152,6 +152,21 @@ void BM_Vm_GeneratedContractTx(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Vm_GeneratedContractTx);
+
+// Constructing and destroying a trace generator with s12-backlog's contract
+// shape: the contract universe a run draws before genesis (30,000 contracts
+// in s12-backlog, 10,000 in fat-state).
+void BM_Trace_Generate(benchmark::State& state) {
+  workload::TraceConfig cfg;
+  cfg.num_contracts = static_cast<std::uint64_t>(state.range(0));
+  cfg.num_accounts = 30'000;
+  for (auto _ : state) {
+    workload::TraceGenerator gen(cfg, Rng(4));
+    benchmark::DoNotOptimize(gen.contracts().back().get());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Trace_Generate)->Arg(10'000)->Arg(30'000)->Unit(benchmark::kMillisecond);
 
 /// One full simulated BFT height over a 32-node group (the building block of
 /// every experiment): measures simulator + consensus machinery overhead.
