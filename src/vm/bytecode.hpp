@@ -59,9 +59,11 @@ struct Instruction {
 /// so the table allocates nothing there; assembled code uses it for CALL
 /// into slot >= 1, large PUSH constants and jumps past pc 2046.
 ///
-/// Every shard holds the logic of every contract, so bytecode is the largest
-/// part of a run's set-up memory.  The storage model does not charge this
-/// layout: ContractLogic::code_size_bytes() charges kInstructionBytes.
+/// Every shard's logic store shares one copy of each contract's logic, and a
+/// generated contract gets its bodies only when a transaction first calls it
+/// (workload::TraceGenerator), so a run holds the bodies of the contracts it
+/// runs.  The storage model does not charge this layout:
+/// ContractLogic::code_size_bytes() charges kInstructionBytes.
 class Code {
  public:
   static constexpr unsigned kOpBits = 5;
@@ -144,16 +146,34 @@ struct Function {
 /// depend on Code's in-memory layout.
 inline constexpr std::uint64_t kInstructionBytes = 9;
 
+/// What the storage model charges for one function: a 16-byte header, the
+/// name and kInstructionBytes per instruction.
+[[nodiscard]] constexpr std::uint64_t function_size_bytes(std::size_t name_size,
+                                                          std::size_t instructions) {
+  return 16 + name_size + kInstructionBytes * instructions;
+}
+
 /// A deployed contract's logic (the part Jenga replicates to every shard).
+///
+/// A generated contract's bodies are built when a transaction first calls
+/// it (workload::TraceGenerator); until then `functions` is empty and
+/// `unbuilt_functions` and `unbuilt_code_bytes` say what the bodies will be,
+/// so the storage model charges every contract whether it has run or not.
 struct ContractLogic {
   ContractId id{};
   std::vector<Function> functions;
+  std::uint32_t unbuilt_functions = 0;
+  std::uint64_t unbuilt_code_bytes = 0;
+
+  [[nodiscard]] std::size_t function_count() const {
+    return functions.empty() ? unbuilt_functions : functions.size();
+  }
 
   /// Wire/storage footprint of the code: what "logic storage" costs a node.
   [[nodiscard]] std::uint64_t code_size_bytes() const {
+    if (functions.empty()) return unbuilt_code_bytes;
     std::uint64_t n = 0;
-    for (const auto& f : functions)
-      n += 16 + f.name.size() + kInstructionBytes * f.code.size();
+    for (const auto& f : functions) n += function_size_bytes(f.name.size(), f.code.size());
     return n;
   }
 };

@@ -246,6 +246,9 @@ TEST(Pyramid, InSpanTxSkipsStepChain) {
   std::uint64_t cross[2];
   for (int which = 0; which < 2; ++which) {
     Fixture f(which == 0 ? Kind::kPyramid : Kind::kCxFunc, cfg);
+    // No drawn tx named these contracts, so their bodies are built here.
+    f.gen->contract(c0);
+    f.gen->contract(c1);
     f.system->submit(make_tx());
     f.sim.run_until(600 * kSecond);
     EXPECT_EQ(f.system->stats().committed, 1u) << "which=" << which;
