@@ -265,7 +265,7 @@ struct JengaSystem::ShardEngine {
   ledger::StateStore store;
   ledger::LockManager locks;
   ledger::Chain chain;
-  ledger::LogicStore local_logic;  // kNoGlobalLogic: only home contracts
+  ledger::LogicStore local_logic;  // kNoGlobalLogic only: its home contracts
 
   std::deque<DetermineItem> determine;
   std::deque<CommitItem> commits;
@@ -402,7 +402,11 @@ JengaSystem::JengaSystem(sim::Simulator& sim, sim::Network& net, telemetry::Tele
       make_epoch_lattice(config_.num_shards, config_.nodes_per_shard, config_.seed,
                          epoch_randomness));
 
-  for (const auto& logic : genesis.contracts) all_logic_.add(logic);
+  // One logic store per pipeline: network-wide, or each contract's logic on
+  // its home shard alone (kNoGlobalLogic).
+  const bool global_logic = config_.pipeline != Pipeline::kNoGlobalLogic;
+  if (global_logic)
+    for (const auto& logic : genesis.contracts) all_logic_.add(logic);
 
   // Per-shard state: accounts and contract states placed by hash.
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
@@ -431,8 +435,7 @@ JengaSystem::JengaSystem(sim::Simulator& sim, sim::Network& net, telemetry::Tele
     shards_[s.value]->store.create_contract_state(
         id, c < genesis.initial_states.size() ? std::move(genesis.initial_states[c])
                                               : ledger::ContractState{});
-    // kNoGlobalLogic keeps logic only on the home shard.
-    shards_[s.value]->local_logic.add(genesis.contracts[c]);
+    if (!global_logic) shards_[s.value]->local_logic.add(genesis.contracts[c]);
   }
 
   initial_balance_ = genesis.num_accounts * genesis.initial_balance;

@@ -493,7 +493,7 @@ class JengaSystem {
   std::vector<std::unique_ptr<ShardApp>> shard_apps_;
   std::vector<std::unique_ptr<ChannelApp>> channel_apps_;
 
-  // All contract logic (network-wide in kFull/kNoLattice).
+  // All contract logic, network-wide; kFull and kNoLattice only.
   ledger::LogicStore all_logic_;
 
   // Batch execution engine shared by every execution site (Phase 2).
