@@ -62,7 +62,8 @@ Replica::Replica(sim::Network& net, NodeId self, std::shared_ptr<const BftConfig
       self_(self),
       config_(std::move(config)),
       app_(app),
-      keys_(config_->group_keys()) {}
+      keys_(config_->group_keys()),
+      view_timer_(net.simulator(), [this] { on_view_timeout(timer_height_, timer_view_); }) {}
 
 void Replica::start() {
   started_ = true;
@@ -72,10 +73,10 @@ void Replica::start() {
 void Replica::stop() {
   stopped_ = true;
   started_ = false;
-  // Invalidate every armed view timer; the guards in on_message / broadcast /
-  // send_to neutralize the other captured-`this` lambdas (propose retries,
-  // exec-delay broadcasts, delayed votes).
-  ++timer_generation_;
+  // The guards in on_message / broadcast / send_to neutralize the
+  // captured-`this` lambdas (propose retries, exec-delay broadcasts, delayed
+  // votes); the view timer's queued event stays queued and drops itself.
+  view_timer_.cancel();
 }
 
 NodeId Replica::leader_for(std::uint32_t view) const {
@@ -158,17 +159,14 @@ void Replica::enter_height(std::uint64_t height) {
 }
 
 void Replica::arm_view_timer() {
-  const std::uint64_t gen = ++timer_generation_;
-  const std::uint64_t h = next_height_;
-  const std::uint32_t v = view_;
+  timer_height_ = next_height_;
+  timer_view_ = view_;
   // The failure detector (when attached) adapts the timeout: a suspected-dead
   // leader is cut loose faster, a merely-degraded network gets more slack
   // before replicas start voting the leader out.
   SimTime timeout = config_->view_timeout;
-  if (view_timeout_hook_) timeout = view_timeout_hook_(self_, leader_for(v), timeout);
-  net_.simulator().schedule_after(timeout, [this, gen, h, v] {
-    if (timer_generation_ == gen) on_view_timeout(h, v);
-  });
+  if (view_timeout_hook_) timeout = view_timeout_hook_(self_, leader_for(view_), timeout);
+  view_timer_.arm_after(timeout);
 }
 
 void Replica::on_view_timeout(std::uint64_t height, std::uint32_t view) {

@@ -138,11 +138,12 @@ class Replica {
   void start();
 
   /// Permanently deactivates this replica: it stops consuming messages,
-  /// proposing, voting, and serving sync, and every already-scheduled timer
-  /// or delayed broadcast becomes a no-op.  Used at epoch reconfiguration:
-  /// the old lattice's replicas are stopped and parked (scheduled lambdas
-  /// capture `this`, so a stopped replica must stay allocated until the
-  /// simulation ends) while fresh replicas take over the group.  Irreversible.
+  /// proposing, voting, and serving sync, its view timer is cancelled, and
+  /// every already-scheduled retry or delayed broadcast becomes a no-op.
+  /// Used at epoch reconfiguration: the old lattice's replicas are stopped
+  /// and parked (scheduled lambdas capture `this`, so a stopped replica must
+  /// stay allocated until the simulation ends) while fresh replicas take
+  /// over the group.  Irreversible.
   void stop();
   [[nodiscard]] bool stopped() const { return stopped_; }
 
@@ -225,7 +226,11 @@ class Replica {
 
   std::uint64_t next_height_ = 0;   // height currently being agreed
   std::uint32_t view_ = 0;
-  std::uint64_t timer_generation_ = 0;
+
+  // The view timer, and the height and view it was last armed for.
+  sim::Simulator::Timer view_timer_;
+  std::uint64_t timer_height_ = 0;
+  std::uint32_t timer_view_ = 0;
 
   // Leader-side collection state for the current (height, view).
   std::shared_ptr<const ConsensusValue> proposal_;   // what this leader proposed

@@ -8,6 +8,7 @@
 #include "consensus/bft.hpp"
 #include "consensus/messages.hpp"
 #include "crypto/sha256.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace jenga::consensus {
 namespace {
@@ -225,8 +226,8 @@ TEST(Bft, LargeGroupDecides) {
 
 TEST(Bft, StaleViewChangeAfterDecideIgnored) {
   // Regression: a view-change vote for a (height, view) that already decided
-  // must not advance anyone's view at the current height — the stale-timer
-  // generation guard and the height check both have to hold.
+  // must not advance anyone's view at the current height — the view timer
+  // re-armed at each height and the height check both have to hold.
   BftHarness h(4, 3);
   h.start_all();
   h.run(2 * kSecond);  // height 0 decided at view 0
@@ -254,6 +255,35 @@ TEST(Bft, StaleViewChangeAfterDecideIgnored) {
     ASSERT_EQ(app->decided.size(), 3u);
     EXPECT_EQ(app->last_cert.view, 0u);  // every height decided without a view change
   }
+}
+
+TEST(Bft, ViewTimersDoNotAccumulate) {
+  // Every height re-arms each replica's view timer; none of the 300 heights
+  // comes close to the timeout, so no timer is due before the end.
+  constexpr SimTime kTimeout = 600 * kSecond;
+  BftHarness h(4, 300, kTimeout);
+  h.start_all();
+  const auto all_decided = [&] {
+    for (const auto& app : h.apps_)
+      if (app->decided.size() < 300) return false;
+    return true;
+  };
+  h.run_until(all_decided, kTimeout);
+  ASSERT_TRUE(all_decided());
+  // A view timer per replica, the leader's propose retry and a few messages
+  // in flight: a few events per replica, not one per replica per height.
+  EXPECT_LE(h.sim_.pending_events(), 3 * h.replicas_.size());
+
+  // Stopped replicas stay silent past the timeout, and their cancelled
+  // timers leave the queue.
+  telemetry::Telemetry tel;
+  h.net_.set_telemetry(&tel);
+  for (auto& r : h.replicas_) r->stop();
+  h.run(h.sim_.now() + 2 * kTimeout);
+  h.net_.set_telemetry(nullptr);
+  EXPECT_EQ(tel.net.per_type[static_cast<std::size_t>(sim::MsgType::kBftViewChange)].count, 0u);
+  EXPECT_EQ(h.sim_.pending_events(), 0u);
+  for (const auto& r : h.replicas_) EXPECT_EQ(r->view(), 0u);
 }
 
 TEST(Bft, EquivocatingLeaderRecoveredByViewChange) {

@@ -1,6 +1,10 @@
 // Event queue and network timing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "simnet/network.hpp"
@@ -71,6 +75,209 @@ TEST(Simulator, MaxEventsGuard) {
   std::function<void()> forever = [&] { sim.schedule_after(1, forever); };
   sim.schedule_at(0, forever);
   EXPECT_EQ(sim.run_until_idle(100), 100u);
+}
+
+/// One entry per handler run: when it ran, which event or timer it was, and
+/// the causal context it ran under.
+struct Ran {
+  SimTime at;
+  int id;
+  std::uint64_t ctx;
+  bool operator==(const Ran&) const = default;
+};
+
+/// A seeded script of plain events and kDeadlines re-armable deadlines.  Each
+/// handler logs itself and then draws three actions, each under a fresh
+/// non-zero context: a plain event at one of a few colliding times, a re-arm
+/// that moves a deadline later or earlier (or into the past), or a cancel.
+/// Subclasses implement the deadlines.
+class DeadlineScript {
+ public:
+  static constexpr std::size_t kDeadlines = 32;
+
+  explicit DeadlineScript(Simulator& sim) : sim_(sim) { deadline_.fill(-1); }
+  virtual ~DeadlineScript() = default;
+
+  std::vector<Ran> run() {
+    sim_.schedule_at(0, [this] { handle(0); });
+    sim_.run_until_idle();
+    return log_;
+  }
+
+  int moved_later = 0;
+  int moved_earlier = 0;
+  int cancels = 0;
+
+ protected:
+  virtual void arm(std::size_t k, SimTime when) = 0;
+  virtual void cancel(std::size_t k) = 0;
+  void fire(std::size_t k) {
+    deadline_[k] = -1;
+    handle(kFiredId + static_cast<int>(k));
+  }
+
+  Simulator& sim_;
+
+ private:
+  static constexpr int kFiredId = 1'000'000;
+  static constexpr std::size_t kMaxLog = 5'000;
+
+  void handle(int id) {
+    log_.push_back({sim_.now(), id, sim_.context()});
+    if (log_.size() >= kMaxLog) return;  // let the queue drain
+    for (int i = 0; i < 3; ++i) act();
+  }
+
+  void act() {
+    sim_.set_context(rng_.next() | 1);
+    const SimTime when = sim_.now() + (static_cast<SimTime>(rng_.uniform(6)) - 1) * 10;
+    const std::size_t k = rng_.uniform(kDeadlines);
+    const std::uint64_t pick = rng_.uniform(10);
+    if (pick < 4) {
+      const int id = next_id_++;
+      sim_.schedule_at(when, [this, id] { handle(id); });
+    } else if (pick < 8) {
+      const SimTime at = std::max(when, sim_.now());
+      if (deadline_[k] >= 0) (at >= deadline_[k] ? moved_later : moved_earlier) += 1;
+      deadline_[k] = at;
+      arm(k, when);
+    } else {
+      if (deadline_[k] >= 0) ++cancels;
+      deadline_[k] = -1;
+      cancel(k);
+    }
+  }
+
+  Rng rng_{11};
+  int next_id_ = 1;
+  std::array<SimTime, kDeadlines> deadline_;
+  std::vector<Ran> log_;
+};
+
+/// Each arm schedules a task that runs only if no later arm or cancel came.
+class ScheduledDeadlines : public DeadlineScript {
+ public:
+  using DeadlineScript::DeadlineScript;
+
+ private:
+  void arm(std::size_t k, SimTime when) override {
+    const std::uint64_t generation = ++generation_[k];
+    sim_.schedule_at(when, [this, k, generation] {
+      if (generation_[k] == generation) fire(k);
+    });
+  }
+  void cancel(std::size_t k) override { ++generation_[k]; }
+
+  std::array<std::uint64_t, kDeadlines> generation_{};
+};
+
+class TimerDeadlines : public DeadlineScript {
+ public:
+  explicit TimerDeadlines(Simulator& sim) : DeadlineScript(sim) {
+    for (std::size_t k = 0; k < kDeadlines; ++k)
+      timers_.push_back(std::make_unique<Simulator::Timer>(sim, [this, k] { fire(k); }));
+  }
+
+ private:
+  void arm(std::size_t k, SimTime when) override { timers_[k]->arm(when); }
+  void cancel(std::size_t k) override { timers_[k]->cancel(); }
+
+  std::vector<std::unique_ptr<Simulator::Timer>> timers_;
+};
+
+TEST(Simulator, TimerRunsWhereScheduleAtWould) {
+  Simulator scheduled_sim;
+  Simulator timer_sim;
+  ScheduledDeadlines scheduled(scheduled_sim);
+  TimerDeadlines timers(timer_sim);
+  const std::vector<Ran> expected = scheduled.run();
+  const std::vector<Ran> got = timers.run();
+
+  // The script covers every path: colliding times, re-arms both ways, cancels.
+  ASSERT_GE(expected.size(), 5'000u);
+  EXPECT_GT(scheduled.moved_later, 1'000);
+  EXPECT_GT(scheduled.moved_earlier, 1'000);
+  EXPECT_GT(scheduled.cancels, 1'000);
+  std::size_t fired = 0;
+  std::size_t same_time = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (expected[i].id >= 1'000'000) ++fired;
+    if (i > 0 && expected[i].at == expected[i - 1].at) ++same_time;
+  }
+  EXPECT_GT(fired, 200u);
+  EXPECT_GT(same_time, 3'000u);
+
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "handler " << i << ": at " << got[i].at << " id "
+                                   << got[i].id << " ctx " << got[i].ctx;
+  EXPECT_EQ(timer_sim.now(), scheduled_sim.now());
+  // The only events the timers leave out are superseded tasks.
+  EXPECT_LT(timer_sim.events_processed(), scheduled_sim.events_processed());
+}
+
+TEST(Simulator, TimerKeepsOneEventWhileDeadlinesMoveLater) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  Simulator::Timer timer(sim, [&] { fired.push_back(sim.now()); });
+  for (SimTime i = 1; i <= 1'000; ++i) {
+    timer.arm(i * 10);
+    ASSERT_EQ(sim.pending_events(), 1u);
+  }
+  sim.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<SimTime>{10'000}));
+  EXPECT_EQ(sim.events_processed(), 2u);  // popped at 10 and re-queued, then fired
+
+  // Re-armed from a running chain of events, each moving the deadline on.
+  fired.clear();
+  std::function<void()> tick = [&] {
+    timer.arm_after(50);
+    if (sim.now() < 20'000) sim.schedule_after(10, tick);
+  };
+  sim.schedule_after(10, tick);
+  while (sim.step()) ASSERT_LE(sim.pending_events(), 2u);
+  EXPECT_EQ(fired, (std::vector<SimTime>{20'050}));
+}
+
+TEST(Simulator, CancelledTimerNeverFires) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  Simulator::Timer timer(sim, [&] { fired.push_back(sim.now()); });
+  timer.arm(100);
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
+  sim.run_until_idle();
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.now(), 100);  // the cancelled event popped and dropped
+
+  // Re-armed after a cancel, before and after the cancelled event pops.
+  timer.arm(200);
+  timer.cancel();
+  timer.arm(300);
+  sim.run_until(250);
+  timer.cancel();
+  timer.arm(260);
+  sim.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<SimTime>{260}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(Simulator, DestroyedTimerEventsDropThemselves) {
+  Simulator sim;
+  int first = 0;
+  int second = 0;
+  auto timer = std::make_unique<Simulator::Timer>(sim, [&] { ++first; });
+  timer->arm(100);
+  timer->arm(50);  // queues a second event
+  timer.reset();
+  // The next timer takes the freed slot; the freed timer's events must not
+  // fire it.
+  Simulator::Timer reuse(sim, [&] { ++second; });
+  reuse.arm(75);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run_until_idle();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
 }
 
 class NetworkTest : public ::testing::Test {
