@@ -8,7 +8,8 @@
 // Every cell is traced: the phase tracer's breakdown shows *which* pipeline
 // phase the faults inflate (checked against the clean cell below), and
 // `--trace-out <file>.jsonl` exports the reference faulted cell's full
-// telemetry (metrics, per-tx phase intervals, BFT spans, causal span DAG)
+// telemetry (metrics, BFT round and view-change histograms among them,
+// per-tx phase intervals, causal span DAG)
 // for offline analysis / the CI trace linter.  A failed invariant audit
 // additionally dumps the flight recorder's last-events window to
 // flight_d<drop>_b<byz>-N.jsonl (DESIGN.md §11).  JENGA_RESILIENCE_QUICK=1

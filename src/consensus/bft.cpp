@@ -355,11 +355,7 @@ void Replica::on_message(const sim::Message& msg) {
   const std::uint64_t mh = message_height(msg);
   if (mh > next_height_) {
     // Delivered ahead of this replica's progress; replay after we catch up.
-    if (future_.size() < kFutureBufferCap) {
-      future_.push_back(msg);
-    } else {
-      ++stats_.future_dropped;
-    }
+    if (future_.size() < kFutureBufferCap) future_.push_back(msg);
     // A gap of two or more heights means this replica is genuinely behind
     // (crash recovery / healed partition), not just seeing one reordered
     // delivery — trigger the catch-up path.
@@ -518,7 +514,6 @@ void Replica::handle_prepared_cert(const sim::Message& msg) {
     // recovery so lossy-transport runs can see how often the backup path
     // carried the round.
     current_value_ = share(msg, p.value);
-    ++stats_.value_recovered;
     if (telemetry_ != nullptr) telemetry_->registry.counter("bft.value_recovered").inc();
   }
   prepared_cert_ = p.cert;
@@ -582,14 +577,11 @@ void Replica::handle_commit_cert(const sim::Message& msg) {
     // A valid commit certificate for a value this replica does not hold:
     // the height decided without us.  Pull it explicitly instead of silently
     // dropping the certificate and stalling until the view timer fires.
-    ++stats_.value_pulls;
     request_sync();
     return;
   }
-  if (!have_local) {
-    ++stats_.value_recovered;
-    if (telemetry_ != nullptr) telemetry_->registry.counter("bft.value_recovered").inc();
-  }
+  if (!have_local && telemetry_ != nullptr)
+    telemetry_->registry.counter("bft.value_recovered").inc();
   decide(have_local ? current_value_ : share(msg, p.value), share(msg, p.cert));
 }
 
@@ -599,15 +591,12 @@ void Replica::decide(std::shared_ptr<const ConsensusValue> value,
   if (telemetry_ != nullptr) {
     const SimTime now = net_.simulator().now();
     if (round_begin_ >= 0) {
-      telemetry_->tracer.span("bft.round", config_->group_tag, decided, round_begin_, now);
       round_hist_->record(now - round_begin_);
       telemetry_->registry.counter("bft.rounds").inc();
     }
     if (view_change_begin_ >= 0) {
       // Height resolved while a view change was still pending (e.g. a commit
-      // certificate landed anyway) — close the span at the decide instant.
-      telemetry_->tracer.span("bft.view_change", config_->group_tag, decided,
-                              view_change_begin_, now);
+      // certificate landed anyway) — the view change ends at the decide instant.
       view_change_hist_->record(now - view_change_begin_);
       telemetry_->registry.counter("bft.view_changes").inc();
     }
@@ -707,8 +696,6 @@ void Replica::handle_new_view(const sim::Message& msg) {
   if (view_change_begin_ >= 0) {
     const SimTime now = net_.simulator().now();
     if (telemetry_ != nullptr) {
-      telemetry_->tracer.span("bft.view_change", config_->group_tag, next_height_,
-                              view_change_begin_, now);
       view_change_hist_->record(now - view_change_begin_);
       telemetry_->registry.counter("bft.view_changes").inc();
       if (telemetry_->flight.enabled()) {

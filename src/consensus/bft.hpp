@@ -119,12 +119,9 @@ struct ReplicaStats {
   std::uint64_t equivocations_detected = 0;   // conflicting proposals, same (h,v)
   std::uint64_t invalid_votes_rejected = 0;   // bad signature or bad digest
   std::uint64_t invalid_certs_rejected = 0;   // quorum/signature check failed
-  std::uint64_t future_dropped = 0;           // future_ buffer overflowed
   std::uint64_t sync_requests_sent = 0;
   std::uint64_t sync_responses_served = 0;
   std::uint64_t sync_heights_applied = 0;     // decided via catch-up, not votes
-  std::uint64_t value_recovered = 0;          // value adopted from a cert, not the proposal
-  std::uint64_t value_pulls = 0;              // explicit syncs triggered by a value gap
 };
 
 /// One replica's state machine for one group.  All replicas of a group share
@@ -160,7 +157,6 @@ class Replica {
   [[nodiscard]] NodeId current_leader() const { return leader_for(view_); }
 
   void set_byzantine(ByzantineMode mode) { byz_ = mode; }
-  [[nodiscard]] ByzantineMode byzantine_mode() const { return byz_; }
 
   [[nodiscard]] const ReplicaStats& stats() const { return stats_; }
 
@@ -178,9 +174,9 @@ class Replica {
   [[nodiscard]] bool verify_cert(const QuorumCert& cert, bool commit_phase) const;
 
   /// Attaches a telemetry context (nullptr detaches).  Every deciding replica
-  /// records a "bft.round" span per height (and a "bft.view_change" span when
-  /// one happened), plus round/view-change duration histograms.  Passive: no
-  /// rng draws, no scheduling.
+  /// records each height's round duration in the bft.round_us histogram and
+  /// the bft.rounds counter, and each view change in bft.view_change_us and
+  /// bft.view_changes.  Passive: no rng draws, no scheduling.
   void set_telemetry(telemetry::Telemetry* t);
 
   /// Advisory hook consulted each time the view timer is armed:

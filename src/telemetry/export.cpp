@@ -60,13 +60,10 @@ void Telemetry::export_jsonl(std::ostream& out) const {
   const PhaseBreakdown b = tracer.breakdown();
   const std::vector<std::uint64_t> dag = dag_union(causal, tracer);
   write_line(out,
-             "{\"kind\":\"meta\",\"version\":1,\"traced_txs\":%zu,\"spans\":%zu,"
-             "\"spans_dropped\":%llu,\"committed\":%llu,\"aborted\":%llu,"
-             "\"incomplete\":%llu,\"cspans\":%zu,\"cspans_total\":%zu,"
+             "{\"kind\":\"meta\",\"version\":1,\"traced_txs\":%zu,\"committed\":%llu,"
+             "\"aborted\":%llu,\"incomplete\":%llu,\"cspans\":%zu,\"cspans_total\":%zu,"
              "\"cspans_dropped\":%llu}",
-             tracer.traced(), tracer.spans().size(),
-             static_cast<unsigned long long>(tracer.spans_dropped()),
-             static_cast<unsigned long long>(b.committed),
+             tracer.traced(), static_cast<unsigned long long>(b.committed),
              static_cast<unsigned long long>(b.aborted),
              static_cast<unsigned long long>(b.incomplete), dag.size(), causal.span_count(),
              static_cast<unsigned long long>(causal.spans_dropped()));
@@ -142,15 +139,6 @@ void Telemetry::export_jsonl(std::ostream& out) const {
                static_cast<long long>(iv[0]), static_cast<long long>(iv[1]),
                static_cast<long long>(iv[2]), static_cast<long long>(iv[3]),
                interval_name(t.critical_interval()), dag_fields);
-  }
-
-  for (const SpanRecord& s : tracer.spans()) {
-    write_line(out,
-               "{\"kind\":\"span\",\"name\":\"%s\",\"group\":%llu,\"seq\":%llu,"
-               "\"begin_us\":%lld,\"end_us\":%lld}",
-               s.name, static_cast<unsigned long long>(s.group),
-               static_cast<unsigned long long>(s.seq), static_cast<long long>(s.begin),
-               static_cast<long long>(s.end));
   }
 
   // Causal DAG spans (union over every finished tx's lineage).  Ids are
@@ -535,19 +523,6 @@ bool validate_trace_line(const std::string& line, std::string* error) {
     if (error) *error = "unknown lineage \"what\" value \"" + what + "\"";
     return false;
   }
-  if (kind == "span") {
-    std::string name;
-    double group = 0, seq = 0, begin = 0, end = 0;
-    if (!str_field("name", &name) || !num_field("group", &group) ||
-        !num_field("seq", &seq) || !num_field("begin_us", &begin) ||
-        !num_field("end_us", &end))
-      return false;
-    if (end < begin) {
-      if (error) *error = "span ends before it begins";
-      return false;
-    }
-    return true;
-  }
   if (error) *error = "unknown line kind \"" + kind + "\"";
   return false;
 }
@@ -587,8 +562,6 @@ bool validate_trace_stream(std::istream& in, std::string* error, TraceLintSummar
         }
         last_cspan_id = id;
       }
-    } else if (line.find("\"kind\":\"span\"") != std::string::npos) {
-      ++local.span_lines;
     } else if (line.find("\"kind\":\"phase_hist\"") != std::string::npos) {
       ++local.phase_hist_lines;
     } else if (line.find("\"kind\":\"flight\"") != std::string::npos &&

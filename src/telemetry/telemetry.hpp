@@ -6,7 +6,7 @@
 //
 // Export format (`--trace-out <file>.jsonl`): one flat JSON object per line,
 // discriminated by "kind":
-//   meta       {"kind":"meta","version":1,"traced_txs":N,"spans":N,...}
+//   meta       {"kind":"meta","version":1,"traced_txs":N,"committed":N,...}
 //   metric     {"kind":"metric","type":"counter|gauge","name":..,"value":..}
 //              {"kind":"metric","type":"histogram","name":..,"count":..,
 //               "sum":..,"min":..,"max":..,"mean":..,"p50":..,"p99":..}
@@ -17,8 +17,6 @@
 //               "submit_us":..,"finish_us":..,"state_lock_us":..,
 //               "grant_relay_us":..,"execute_us":..,"commit_us":..,
 //               "critical":..}
-//   span       {"kind":"span","name":..,"group":..,"seq":..,"begin_us":..,
-//               "end_us":..}
 //   cspan      {"kind":"cspan","id":..,"parent":..,"type":..,"from":..,
 //               "to":..,"send_us":..,"depart_us":..,"arrive_us":..}
 //               (causal tracing only; ids strictly ascending, parent < id)
@@ -82,10 +80,10 @@ struct Telemetry {
   Telemetry& operator=(const Telemetry&) = delete;
 
   /// Writes the full JSONL trace (metrics snapshot, message telemetry,
-  /// per-phase histograms, one line per traced tx, one line per sub-span;
-  /// with causal tracing on, also one cspan line per DAG span and dag_*
-  /// fields on tx lines).  Tx lines are sorted by (submit time, hash) so
-  /// output is deterministic.
+  /// per-phase histograms, one line per traced tx; with causal tracing on,
+  /// also one cspan line per DAG span and dag_* fields on tx lines).  BFT
+  /// round and view-change times appear only as the bft.* metric lines.  Tx
+  /// lines are sorted by (submit time, hash) so output is deterministic.
   void export_jsonl(std::ostream& out) const;
 
   /// chrome://tracing / Perfetto-compatible JSON: one "X" complete event per
@@ -105,7 +103,6 @@ struct TraceLintSummary {
   std::size_t lines = 0;
   std::size_t tx_lines = 0;
   std::size_t metric_lines = 0;
-  std::size_t span_lines = 0;
   std::size_t phase_hist_lines = 0;
   std::size_t cspan_lines = 0;
   std::size_t dag_tx_lines = 0;  ///< tx lines carrying dag_* fields

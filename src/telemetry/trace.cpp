@@ -7,17 +7,6 @@
 
 namespace jenga::telemetry {
 
-const char* phase_name(Phase p) {
-  switch (p) {
-    case Phase::kStateLock: return "state_lock";
-    case Phase::kGather: return "gather";
-    case Phase::kExecute: return "execute";
-    case Phase::kCommitApply: return "commit_apply";
-    case Phase::kCount: break;
-  }
-  return "?";
-}
-
 const char* interval_name(std::size_t i) {
   switch (i) {
     case 0: return "state_lock";
@@ -117,15 +106,6 @@ void PhaseTracer::on_finish(const Hash256& tx, bool committed, SimTime now) {
   t.finish = now;
   if (causal_ != nullptr)
     causal_->tx_anchor(tx, AnchorKind::kFinish, committed ? 1u : 0u, now);
-}
-
-void PhaseTracer::span(const char* name, std::uint64_t group, std::uint64_t seq,
-                       SimTime begin, SimTime end) {
-  if (spans_.size() >= span_capacity_) {
-    ++spans_dropped_;
-    return;
-  }
-  spans_.push_back(SpanRecord{name, group, seq, begin, end});
 }
 
 const TxTrace* PhaseTracer::find(const Hash256& tx) const {

@@ -17,15 +17,13 @@
 //
 // Checkpoints keep the *latest* event per phase (a 3-shard tx's state_lock
 // boundary is the last shard's grant), so phases measure the critical path.
-// BFT rounds and view changes are recorded as generic sub-spans keyed by
-// (group, height); they annotate the trace but do not enter the partition.
+// BFT round and view-change durations are not kept here: the replicas record
+// them once, in the registry's bft.round_us / bft.view_change_us histograms.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 #include "telemetry/metrics.hpp"
@@ -43,8 +41,6 @@ enum class Phase : std::uint8_t {
   kCount
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
-
-[[nodiscard]] const char* phase_name(Phase p);
 
 struct TxTrace {
   SimTime submit = -1;
@@ -84,14 +80,6 @@ struct PhaseBreakdown {
   [[nodiscard]] std::size_t dominant_interval() const;
 };
 
-struct SpanRecord {
-  const char* name = "";  // static strings only ("bft.round", ...)
-  std::uint64_t group = 0;
-  std::uint64_t seq = 0;
-  SimTime begin = 0;
-  SimTime end = 0;
-};
-
 class PhaseTracer {
  public:
   void on_submit(const Hash256& tx, SimTime now);
@@ -102,20 +90,11 @@ class PhaseTracer {
   void phase_event(const Hash256& tx, Phase phase, std::uint32_t key, SimTime now);
   void on_finish(const Hash256& tx, bool committed, SimTime now);
 
-  /// Generic sub-span (BFT round, view change).  Beyond the capacity the
-  /// record is dropped (counted in spans_dropped) — histograms fed by the
-  /// callers stay exact.
-  void span(const char* name, std::uint64_t group, std::uint64_t seq, SimTime begin,
-            SimTime end);
-
   [[nodiscard]] const TxTrace* find(const Hash256& tx) const;
   [[nodiscard]] const std::unordered_map<Hash256, TxTrace>& traces() const {
     return traces_;
   }
-  [[nodiscard]] const std::vector<SpanRecord>& spans() const { return spans_; }
-  [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
   [[nodiscard]] std::size_t traced() const { return traces_.size(); }
-  void set_span_capacity(std::size_t cap) { span_capacity_ = cap; }
 
   [[nodiscard]] PhaseBreakdown breakdown() const;
 
@@ -128,9 +107,6 @@ class PhaseTracer {
 
  private:
   std::unordered_map<Hash256, TxTrace> traces_;
-  std::vector<SpanRecord> spans_;
-  std::size_t span_capacity_ = 1u << 20;
-  std::uint64_t spans_dropped_ = 0;
   CausalTracer* causal_ = nullptr;
   FlightRecorder* flight_ = nullptr;
 };

@@ -144,16 +144,6 @@ TEST(PhaseTracer, SkippedPhasesContributeZeroLengthIntervals) {
   EXPECT_EQ(b.committed, 0u);
 }
 
-TEST(PhaseTracer, SpanCapacityDropsBeyondLimit) {
-  PhaseTracer t;
-  t.set_span_capacity(2);
-  t.span("bft.round", 1, 1, 0, 10);
-  t.span("bft.round", 1, 2, 10, 20);
-  t.span("bft.round", 1, 3, 20, 30);
-  EXPECT_EQ(t.spans().size(), 2u);
-  EXPECT_EQ(t.spans_dropped(), 1u);
-}
-
 harness::RunConfig small_run(harness::SystemKind kind) {
   harness::RunConfig cfg;
   cfg.kind = kind;
@@ -242,7 +232,12 @@ TEST(TelemetryExport, JsonlValidatesAndCountsLines) {
   EXPECT_EQ(summary.tx_lines, r.stats.submitted);
   EXPECT_GT(summary.metric_lines, 0u);
   EXPECT_EQ(summary.phase_hist_lines, kIntervalCount);
-  EXPECT_GT(summary.span_lines, 0u);  // BFT rounds happened
+  // BFT rounds are recorded once, in the registry, not as span lines.
+  EXPECT_EQ(out.str().find("\"kind\":\"span\""), std::string::npos);
+  const Histogram* rounds = r.telemetry->registry.find_histogram("bft.round_us");
+  ASSERT_NE(rounds, nullptr);
+  EXPECT_GT(rounds->count(), 0u);
+  EXPECT_EQ(rounds->count(), r.telemetry->registry.counter_value("bft.rounds"));
 }
 
 TEST(TraceValidator, RejectsMalformedLines) {
@@ -250,6 +245,12 @@ TEST(TraceValidator, RejectsMalformedLines) {
   EXPECT_FALSE(validate_trace_line("not json", &err));
   EXPECT_FALSE(validate_trace_line("{\"no_kind\":1}", &err));
   EXPECT_FALSE(validate_trace_line("{\"kind\":\"mystery\"}", &err));
+  // "span" is not a line kind: BFT round times are the registry's bft.*
+  // metric lines.
+  EXPECT_FALSE(validate_trace_line(
+      "{\"kind\":\"span\",\"name\":\"bft.round\",\"group\":1,\"seq\":1,"
+      "\"begin_us\":0,\"end_us\":10}",
+      &err));
   // tx line whose phases do not sum to finish - submit.
   const std::string bad_tx =
       "{\"kind\":\"tx\",\"hash\":\"" + std::string(64, 'a') +

@@ -1,5 +1,8 @@
 // Trace linter: validates a `--trace-out` JSONL file (or a flight-recorder
-// dump) against the telemetry schema (see telemetry/telemetry.hpp):
+// dump) against the telemetry schema (see telemetry/telemetry.hpp).  A trace
+// holds meta, metric, msgtype, phase_hist, tx and cspan lines, a dump
+// flight_meta, flight and lineage lines; a line of any other kind fails.
+// Beyond each line's fields it checks:
 //   - the per-tx invariant that the four phase intervals sum to the
 //     end-to-end latency;
 //   - causal span ordering (ids strictly ascending, parent before child —
@@ -7,7 +10,9 @@
 //   - per-tx DAG/interval reconciliation: dag_queue + dag_link + dag_service
 //     matches dag_total, and dag_total matches finish - submit within 1%;
 //   - flight-dump lines in causal (time) order.
-// CI runs it on a fresh bench trace so a schema drift fails the build
+// CI runs it on two fresh bench traces, the causally traced chaos export of
+// bench_resilience and the untraced S=12 export of
+// bench_fig5b_throughput_breakdown, so a schema drift fails the build
 // instead of silently breaking downstream analysis.
 //
 // Usage: trace_lint <trace.jsonl>   (exit 0 = valid, 1 = invalid / unreadable)
@@ -35,9 +40,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "trace_lint: %s: OK (%zu lines: %zu tx (%zu with DAG), %zu metric, "
-      "%zu phase_hist, %zu span, %zu cspan, %zu flight, %zu lineage)\n",
+      "%zu phase_hist, %zu cspan, %zu flight, %zu lineage)\n",
       argv[1], summary.lines, summary.tx_lines, summary.dag_tx_lines,
-      summary.metric_lines, summary.phase_hist_lines, summary.span_lines,
-      summary.cspan_lines, summary.flight_lines, summary.lineage_lines);
+      summary.metric_lines, summary.phase_hist_lines, summary.cspan_lines,
+      summary.flight_lines, summary.lineage_lines);
   return 0;
 }
