@@ -1,14 +1,15 @@
 // FastCrypto: cheap keyed-hash "signatures" for large-scale simulation.
 //
-// Running 2880 nodes through real Schnorr aggregation would turn a
-// discrete-event simulation into a crypto benchmark.  FastCrypto swaps the
-// math for keyed 64-bit hashes while keeping the exact same *interface
-// semantics* (sign/verify/aggregate with a signer bitmap) and — crucially —
-// the same *wire sizes*: message size accounting in simnet always charges
-// for full-size Schnorr/BLS-equivalent signatures.  Every replica, relay
-// verifier, test and example uses FastCrypto; there is no provider switch,
-// and the real Schnorr multisig in crypto/schnorr.hpp runs only under
-// test_schnorr.  No test compares the two schemes.
+// Running 2880 nodes through real aggregate signatures (the paper's BLS)
+// would turn a discrete-event simulation into a crypto benchmark.
+// FastCrypto swaps the math for keyed 64-bit hashes while keeping the
+// interface semantics of an aggregate scheme (sign/verify/aggregate with a
+// signer bitmap) and — crucially — its *wire sizes*: message size
+// accounting in simnet always charges for full-size BLS-equivalent
+// signatures.  Every replica, relay verifier, test and example uses
+// FastCrypto, and the repository has no real aggregate scheme:
+// crypto/schnorr.hpp is single-signer Schnorr, which only the beacon's VRF
+// keys use.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "crypto/schnorr.hpp"
 
-#include <cassert>
-
 #include "crypto/sha256.hpp"
 
 namespace jenga::crypto {
@@ -64,163 +62,6 @@ bool verify(const Point& public_key, std::span<const std::uint8_t> msg, const Si
   const Point lhs = point_mul_g(sig.s);
   const Point rhs = point_add(sig.r, point_mul(e, public_key));
   return lhs == rhs;
-}
-
-Hash256 hash_key_list(std::span<const Point> keys) {
-  Sha256 h;
-  h.update("jenga/musig-keylist");
-  for (const auto& k : keys) {
-    const auto c = compress(k);
-    h.update(std::span<const std::uint8_t>(c.data(), c.size()));
-  }
-  return h.finish();
-}
-
-U256 key_agg_coefficient(const Hash256& key_list_hash, const Point& key) {
-  Sha256 h;
-  h.update("jenga/musig-coef");
-  h.update(key_list_hash);
-  const auto c = compress(key);
-  h.update(std::span<const std::uint8_t>(c.data(), c.size()));
-  return scalar_from_hash(h.finish());
-}
-
-MultisigSession::MultisigSession(std::vector<Point> group, std::vector<std::uint8_t> message)
-    : group_(std::move(group)),
-      key_list_hash_(hash_key_list(group_)),
-      message_(std::move(message)),
-      commitments_(group_.size()),
-      responses_(group_.size()) {}
-
-MultisigSession::Commitment MultisigSession::make_commitment(std::size_t signer_index,
-                                                             const KeyPair& key,
-                                                             std::uint64_t nonce_seed) const {
-  Sha256 h;
-  h.update("jenga/musig-nonce");
-  h.update(key.secret.to_be_bytes());
-  h.update_u64(nonce_seed);
-  h.update(key_list_hash_);
-  h.update(message_);
-  Commitment c;
-  c.index = signer_index;
-  c.nonce = [&] {
-    U256 v = U256::from_be_bytes(h.finish());
-    if (v >= kOrderN) v = mod(U512{v, U256{}}, kOrderN);
-    if (v.is_zero()) v = U256(1);
-    return v;
-  }();
-  c.r = point_mul_g(c.nonce);
-  return c;
-}
-
-bool MultisigSession::add_commitment(const Commitment& c) {
-  // The shared challenge binds the aggregate commitment, so accepting a new
-  // commitment after any response exists would silently invalidate that
-  // response.  Lock the commitment phase once the first response arrives.
-  if (responses_locked_) return false;
-  if (c.index >= group_.size() || commitments_[c.index].has_value()) return false;
-  if (c.r.infinity || !is_on_curve(c.r)) return false;
-  commitments_[c.index] = c.r;
-  r_agg_ = point_add(r_agg_, c.r);
-  return true;
-}
-
-U256 MultisigSession::challenge() const {
-  return challenge_hash(r_agg_, key_list_hash_, message_);
-}
-
-U256 MultisigSession::make_response(const Commitment& c, const KeyPair& key) const {
-  const U256 e = challenge();
-  const U256 a = key_agg_coefficient(key_list_hash_, key.public_key);
-  return addmod(c.nonce, mulmod(e, mulmod(a, key.secret, kOrderN), kOrderN), kOrderN);
-}
-
-bool MultisigSession::add_response(std::size_t signer_index, const U256& response) {
-  if (signer_index >= group_.size() || !commitments_[signer_index].has_value()) return false;
-  responses_locked_ = true;
-  if (responses_[signer_index].has_value()) return false;
-  // Per-signer check: s_i·G == R_i + e·a_i·P_i, so one bad response cannot
-  // silently corrupt the aggregate.
-  const U256 e = challenge();
-  const U256 a = key_agg_coefficient(key_list_hash_, group_[signer_index]);
-  const Point lhs = point_mul_g(response);
-  const Point rhs = point_add(*commitments_[signer_index],
-                              point_mul(mulmod(e, a, kOrderN), group_[signer_index]));
-  if (!(lhs == rhs)) return false;
-  responses_[signer_index] = response;
-  return true;
-}
-
-std::optional<MultiSignature> MultisigSession::aggregate() const {
-  MultiSignature out;
-  out.r = r_agg_;
-  out.s = U256{};
-  out.signers.assign(group_.size(), false);
-  for (std::size_t i = 0; i < group_.size(); ++i) {
-    if (!commitments_[i].has_value()) continue;
-    if (!responses_[i].has_value()) return std::nullopt;  // committed but no response yet
-    out.s = addmod(out.s, *responses_[i], kOrderN);
-    out.signers[i] = true;
-  }
-  if (out.signer_count() == 0) return std::nullopt;
-  return out;
-}
-
-bool verify_multisig(std::span<const Point> group, std::span<const std::uint8_t> msg,
-                     const MultiSignature& sig) {
-  if (sig.signers.size() != group.size() || sig.signer_count() == 0) return false;
-  const Hash256 list_hash = hash_key_list(group);
-  const U256 e = challenge_hash(sig.r, list_hash, msg);
-  Point key_sum;  // Σ a_i·P_i over participating signers
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (!sig.signers[i]) continue;
-    const U256 a = key_agg_coefficient(list_hash, group[i]);
-    key_sum = point_add(key_sum, point_mul(a, group[i]));
-  }
-  const Point lhs = point_mul_g(sig.s);
-  const Point rhs = point_add(sig.r, point_mul(e, key_sum));
-  return lhs == rhs;
-}
-
-bool verify_multisig_batch(std::span<const MultisigBatchEntry> entries, std::uint64_t seed) {
-  if (entries.empty()) return true;
-  U256 s_acc;       // Σ z_i·s_i (mod n)
-  Point rhs_acc;    // Σ z_i·R_i + Σ z_i·e_i·K_i
-  for (std::size_t idx = 0; idx < entries.size(); ++idx) {
-    const auto& entry = entries[idx];
-    const MultiSignature* sig = entry.sig;
-    if (sig == nullptr || sig->signers.size() != entry.group.size() ||
-        sig->signer_count() == 0)
-      return false;
-    if (sig->r.infinity || !is_on_curve(sig->r) || sig->s >= kOrderN) return false;
-
-    const Hash256 list_hash = hash_key_list(entry.group);
-    const U256 e = challenge_hash(sig->r, list_hash, entry.msg);
-    Point key_sum;
-    for (std::size_t i = 0; i < entry.group.size(); ++i) {
-      if (!sig->signers[i]) continue;
-      const U256 a = key_agg_coefficient(list_hash, entry.group[i]);
-      key_sum = point_add(key_sum, point_mul(a, entry.group[i]));
-    }
-
-    // z_i = H(seed || i || R_i || s_i || L || msg): unpredictable before the
-    // certificates are fixed, so residuals cannot be crafted to cancel.
-    Sha256 zh;
-    zh.update("jenga/batch-weight");
-    zh.update_u64(seed);
-    zh.update_u64(idx);
-    const auto rc = compress(sig->r);
-    zh.update(std::span<const std::uint8_t>(rc.data(), rc.size()));
-    zh.update(sig->s.to_be_bytes());
-    zh.update(list_hash);
-    zh.update(entry.msg);
-    const U256 z = scalar_from_hash(zh.finish());
-
-    s_acc = addmod(s_acc, mulmod(z, sig->s, kOrderN), kOrderN);
-    rhs_acc = point_add(rhs_acc, point_mul(z, sig->r));
-    rhs_acc = point_add(rhs_acc, point_mul(mulmod(z, e, kOrderN), key_sum));
-  }
-  return point_mul_g(s_acc) == rhs_acc;
 }
 
 }  // namespace jenga::crypto

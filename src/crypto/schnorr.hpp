@@ -1,17 +1,13 @@
-// Schnorr signatures over secp256k1, with MuSig-style aggregation.
+// Schnorr signatures over secp256k1.
 //
-// Jenga's paper uses BLS aggregated signatures so that a quorum certificate
-// is a single constant-size signature verifiable against the signer set.
-// This module is our substitution (see DESIGN.md §2): CoSi/MuSig aggregation
-// of Schnorr signatures gives the same interface — one 64-byte aggregate plus
-// a signer bitmap — without needing a pairing curve.  Key-aggregation
-// coefficients a_i = H(L || P_i) defend against rogue-key attacks.
+// Single-signer keys, signing and verification.  The beacon's VRF keys
+// (crypto/vrf.hpp) are these keypairs.  BFT votes and quorum certificates
+// use the simulation scheme in crypto/fastcrypto.hpp instead (see DESIGN.md
+// §2).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "common/types.hpp"
 #include "crypto/secp256k1.hpp"
@@ -35,93 +31,5 @@ struct Signature {
 [[nodiscard]] Signature sign(const KeyPair& key, std::span<const std::uint8_t> msg);
 [[nodiscard]] bool verify(const Point& public_key, std::span<const std::uint8_t> msg,
                           const Signature& sig);
-
-/// Aggregated multi-signature over one message: constant-size (R, s) plus the
-/// bitmap of participating signers.  Mirrors a BLS certificate.
-struct MultiSignature {
-  Point r;
-  U256 s;
-  std::vector<bool> signers;  // indexed by position in the group key list
-
-  [[nodiscard]] std::size_t signer_count() const {
-    std::size_t n = 0;
-    for (bool b : signers) n += b;
-    return n;
-  }
-};
-
-/// Key-aggregation coefficient a_i = H("jenga/musig-coef" || L || P_i) mod n,
-/// where L is the hash of the full ordered key list.
-[[nodiscard]] U256 key_agg_coefficient(const Hash256& key_list_hash, const Point& key);
-
-/// Hash of the ordered group key list (the "L" in MuSig).
-[[nodiscard]] Hash256 hash_key_list(std::span<const Point> keys);
-
-/// Interactive aggregation session, run by the certificate collector (the BFT
-/// leader).  Protocol: collector gathers commitments R_i from each signer,
-/// derives the shared challenge, gathers responses, and aggregates.
-class MultisigSession {
- public:
-  /// `group` is the ordered key list of the whole group (all replicas).
-  MultisigSession(std::vector<Point> group, std::vector<std::uint8_t> message);
-
-  /// Per-signer commitment: signer i picks nonce k_i, returns R_i = k_i·G.
-  /// (In the simulator the nonce is derived deterministically per signer.)
-  struct Commitment {
-    std::size_t index;
-    Point r;
-    U256 nonce;  // kept by the signer; exposed here because both halves run in-process
-  };
-  [[nodiscard]] Commitment make_commitment(std::size_t signer_index, const KeyPair& key,
-                                           std::uint64_t nonce_seed) const;
-
-  /// Collector adds a commitment.  Returns false on duplicate/invalid index.
-  bool add_commitment(const Commitment& c);
-
-  /// Shared challenge e = H(R_agg || L || msg) once all commitments are in.
-  [[nodiscard]] U256 challenge() const;
-
-  /// Signer response s_i = k_i + e·a_i·x_i (mod n).
-  [[nodiscard]] U256 make_response(const Commitment& c, const KeyPair& key) const;
-
-  /// Collector adds a response; verified against the signer's public key so a
-  /// Byzantine replica cannot poison the aggregate.
-  bool add_response(std::size_t signer_index, const U256& response);
-
-  /// Final aggregate once every committed signer responded.
-  [[nodiscard]] std::optional<MultiSignature> aggregate() const;
-
- private:
-  std::vector<Point> group_;
-  Hash256 key_list_hash_;
-  std::vector<std::uint8_t> message_;
-  std::vector<std::optional<Point>> commitments_;
-  std::vector<std::optional<U256>> responses_;
-  Point r_agg_;  // running sum of commitments
-  bool responses_locked_ = false;  // set once the first response arrives
-};
-
-/// Verifies an aggregated signature against the group key list and bitmap:
-///   s·G == R + e·Σ a_i·P_i
-[[nodiscard]] bool verify_multisig(std::span<const Point> group,
-                                   std::span<const std::uint8_t> msg,
-                                   const MultiSignature& sig);
-
-/// One certificate inside a batched verification.
-struct MultisigBatchEntry {
-  std::span<const Point> group;
-  std::span<const std::uint8_t> msg;
-  const MultiSignature* sig = nullptr;
-};
-
-/// Random-linear-combination batch verification of many aggregated
-/// certificates (possibly from different groups over different messages):
-///   (Σ z_i·s_i)·G  ==  Σ z_i·R_i + Σ z_i·e_i·K_i,   K_i = Σ a_j·P_j
-/// with per-entry random weights z_i derived from `seed` and the entry
-/// contents.  One base-point multiplication and one comparison replace the
-/// per-certificate checks; accepts iff (w.h.p.) every entry verifies
-/// individually.  On failure callers fall back to verify_multisig per entry.
-[[nodiscard]] bool verify_multisig_batch(std::span<const MultisigBatchEntry> entries,
-                                         std::uint64_t seed);
 
 }  // namespace jenga::crypto

@@ -1,11 +1,11 @@
-// Schnorr single signatures and MuSig-style aggregation sessions.
+// Schnorr single signatures: round trip, rejection of a wrong message, key or
+// response, and deterministic signatures and keys.
 #include <gtest/gtest.h>
 
-#include <initializer_list>
+#include <string_view>
 #include <vector>
 
 #include "crypto/schnorr.hpp"
-#include "crypto/sha256.hpp"
 
 namespace jenga::crypto {
 namespace {
@@ -55,193 +55,6 @@ TEST(Schnorr, DeterministicSignature) {
 TEST(Schnorr, KeypairDeterministicFromSeed) {
   EXPECT_EQ(keypair_from_seed(7).public_key, keypair_from_seed(7).public_key);
   EXPECT_NE(keypair_from_seed(7).public_key, keypair_from_seed(8).public_key);
-}
-
-class MultisigTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    for (std::uint64_t i = 0; i < 5; ++i) keys_.push_back(keypair_from_seed(100 + i));
-    for (const auto& k : keys_) group_.push_back(k.public_key);
-    msg_ = msg_bytes("quorum certificate payload");
-  }
-
-  std::vector<KeyPair> keys_;
-  std::vector<Point> group_;
-  std::vector<std::uint8_t> msg_;
-};
-
-TEST_F(MultisigTest, FullGroupAggregates) {
-  MultisigSession session(group_, msg_);
-  std::vector<MultisigSession::Commitment> commits;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    commits.push_back(session.make_commitment(i, keys_[i], /*nonce_seed=*/i));
-    ASSERT_TRUE(session.add_commitment(commits.back()));
-  }
-  for (std::size_t i = 0; i < keys_.size(); ++i)
-    ASSERT_TRUE(session.add_response(i, session.make_response(commits[i], keys_[i])));
-  auto agg = session.aggregate();
-  ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->signer_count(), 5u);
-  EXPECT_TRUE(verify_multisig(group_, msg_, *agg));
-}
-
-TEST_F(MultisigTest, SubsetAggregates) {
-  MultisigSession session(group_, msg_);
-  // Only signers 0, 2, 4 participate (a 3-of-5 quorum).  All commitments
-  // must be collected before any response: the challenge binds R_agg.
-  std::vector<MultisigSession::Commitment> commits;
-  for (std::size_t i : {0u, 2u, 4u}) {
-    commits.push_back(session.make_commitment(i, keys_[i], i));
-    ASSERT_TRUE(session.add_commitment(commits.back()));
-  }
-  for (const auto& c : commits)
-    ASSERT_TRUE(session.add_response(c.index, session.make_response(c, keys_[c.index])));
-  auto agg = session.aggregate();
-  ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->signer_count(), 3u);
-  EXPECT_TRUE(verify_multisig(group_, msg_, *agg));
-}
-
-TEST_F(MultisigTest, BitmapTamperRejected) {
-  MultisigSession session(group_, msg_);
-  std::vector<MultisigSession::Commitment> commits;
-  for (std::size_t i : {0u, 1u, 2u}) {
-    commits.push_back(session.make_commitment(i, keys_[i], i));
-    ASSERT_TRUE(session.add_commitment(commits.back()));
-  }
-  for (const auto& c : commits)
-    ASSERT_TRUE(session.add_response(c.index, session.make_response(c, keys_[c.index])));
-  auto agg = session.aggregate();
-  ASSERT_TRUE(agg.has_value());
-  // Claiming an extra signer participated must fail verification.
-  agg->signers[3] = true;
-  EXPECT_FALSE(verify_multisig(group_, msg_, *agg));
-}
-
-TEST_F(MultisigTest, WrongMessageRejected) {
-  MultisigSession session(group_, msg_);
-  std::vector<MultisigSession::Commitment> commits;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    commits.push_back(session.make_commitment(i, keys_[i], i));
-    ASSERT_TRUE(session.add_commitment(commits.back()));
-  }
-  for (const auto& c : commits)
-    ASSERT_TRUE(session.add_response(c.index, session.make_response(c, keys_[c.index])));
-  auto agg = session.aggregate();
-  ASSERT_TRUE(agg.has_value());
-  const auto other = msg_bytes("different payload");
-  EXPECT_FALSE(verify_multisig(group_, other, *agg));
-}
-
-TEST_F(MultisigTest, BadResponseRejectedAtCollection) {
-  MultisigSession session(group_, msg_);
-  auto c = session.make_commitment(0, keys_[0], 0);
-  ASSERT_TRUE(session.add_commitment(c));
-  // A Byzantine replica submits garbage: per-signer verification catches it.
-  EXPECT_FALSE(session.add_response(0, U256(12345)));
-  // The honest response still goes through afterwards.
-  EXPECT_TRUE(session.add_response(0, session.make_response(c, keys_[0])));
-}
-
-TEST_F(MultisigTest, DuplicateCommitmentRejected) {
-  MultisigSession session(group_, msg_);
-  auto c = session.make_commitment(1, keys_[1], 1);
-  EXPECT_TRUE(session.add_commitment(c));
-  EXPECT_FALSE(session.add_commitment(c));
-}
-
-TEST_F(MultisigTest, MissingResponseBlocksAggregate) {
-  MultisigSession session(group_, msg_);
-  auto c0 = session.make_commitment(0, keys_[0], 0);
-  auto c1 = session.make_commitment(1, keys_[1], 1);
-  session.add_commitment(c0);
-  session.add_commitment(c1);
-  session.add_response(0, session.make_response(c0, keys_[0]));
-  // Signer 1 committed but never responded: aggregate unavailable.
-  EXPECT_FALSE(session.aggregate().has_value());
-}
-
-TEST_F(MultisigTest, EmptyAggregateUnavailable) {
-  MultisigSession session(group_, msg_);
-  EXPECT_FALSE(session.aggregate().has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Random-linear-combination batch verification over several certificates.
-
-class SchnorrBatchTest : public MultisigTest {
- protected:
-  // Runs a full commit/response session over `signers` and returns the
-  // aggregate (the fixture group signs `m`).
-  MultiSignature make_cert(std::initializer_list<std::size_t> signers,
-                           const std::vector<std::uint8_t>& m) {
-    MultisigSession session(group_, m);
-    std::vector<MultisigSession::Commitment> commits;
-    for (const std::size_t i : signers) {
-      commits.push_back(session.make_commitment(i, keys_[i], i));
-      EXPECT_TRUE(session.add_commitment(commits.back()));
-    }
-    for (const auto& c : commits)
-      EXPECT_TRUE(session.add_response(c.index, session.make_response(c, keys_[c.index])));
-    auto agg = session.aggregate();
-    EXPECT_TRUE(agg.has_value());
-    return *agg;
-  }
-};
-
-TEST_F(SchnorrBatchTest, ManyCertsOnePass) {
-  const auto m1 = msg_bytes("cert for height 1");
-  const auto m2 = msg_bytes("cert for height 2");
-  const auto m3 = msg_bytes("cert for height 3");
-  const MultiSignature s1 = make_cert({0, 1, 2, 3, 4}, m1);
-  const MultiSignature s2 = make_cert({0, 2, 4}, m2);  // 3-of-5 quorum
-  const MultiSignature s3 = make_cert({1, 2, 3}, m3);
-  const std::vector<MultisigBatchEntry> entries{
-      {group_, m1, &s1}, {group_, m2, &s2}, {group_, m3, &s3}};
-  EXPECT_TRUE(verify_multisig_batch(entries, /*seed=*/7));
-  EXPECT_TRUE(verify_multisig_batch(entries, /*seed=*/99));
-  EXPECT_TRUE(verify_multisig_batch({}, 7));  // empty batch is vacuous
-}
-
-TEST_F(SchnorrBatchTest, ForgedEntryPoisonsBatchAndFallbackIsolates) {
-  const auto m1 = msg_bytes("honest");
-  const auto m2 = msg_bytes("forged");
-  const MultiSignature s1 = make_cert({0, 1, 2}, m1);
-  MultiSignature s2 = make_cert({0, 1, 2}, m2);
-  s2.s = addmod(s2.s, U256(1), kOrderN);
-  const std::vector<MultisigBatchEntry> entries{{group_, m1, &s1}, {group_, m2, &s2}};
-  EXPECT_FALSE(verify_multisig_batch(entries, 7));
-  EXPECT_TRUE(verify_multisig(group_, m1, s1));
-  EXPECT_FALSE(verify_multisig(group_, m2, s2));
-}
-
-TEST_F(SchnorrBatchTest, BitmapTamperRejected) {
-  const auto m = msg_bytes("payload");
-  MultiSignature s = make_cert({0, 1, 2}, m);
-  s.signers[4] = true;
-  const std::vector<MultisigBatchEntry> entries{{group_, m, &s}};
-  EXPECT_FALSE(verify_multisig_batch(entries, 7));
-}
-
-TEST_F(SchnorrBatchTest, CrossMessageSwapRejected) {
-  const auto m1 = msg_bytes("for shard 0");
-  const auto m2 = msg_bytes("for shard 1");
-  const MultiSignature s1 = make_cert({0, 1, 2}, m1);
-  const MultiSignature s2 = make_cert({0, 1, 2}, m2);
-  // Present each cert against the other's message.
-  const std::vector<MultisigBatchEntry> entries{{group_, m2, &s1}, {group_, m1, &s2}};
-  EXPECT_FALSE(verify_multisig_batch(entries, 7));
-}
-
-TEST_F(MultisigTest, RogueKeyBitmapSizeMismatchRejected) {
-  MultisigSession session(group_, msg_);
-  auto c = session.make_commitment(0, keys_[0], 0);
-  session.add_commitment(c);
-  session.add_response(0, session.make_response(c, keys_[0]));
-  auto agg = session.aggregate();
-  ASSERT_TRUE(agg.has_value());
-  std::vector<Point> smaller(group_.begin(), group_.end() - 1);
-  EXPECT_FALSE(verify_multisig(smaller, msg_, *agg));
 }
 
 }  // namespace
