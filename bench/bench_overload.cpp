@@ -109,7 +109,7 @@ CellResult run_cell(workload::ArrivalMode mode, double mult, double sat_tps,
   c.retries = r.ingress.client.retries;
   c.evicted = r.ingress.pools.totals.evicted;
   c.goodput_tps = r.tps;
-  c.p99_commit_s = r.stats.latency_quantile_seconds(0.99);
+  c.p99_commit_s = r.stats.latency_quantiles_seconds({0.99})[0];
   // Pool wait, merged across fee tiers (recorded in microseconds).
   telemetry::Histogram waits;
   telemetry::Histogram tier_means[mempool::kFeeTiers];
@@ -186,7 +186,7 @@ int main() {
   const RunResult sat = jenga::harness::run_experiment(closed);
   const double sat_tps = sat.tps;
   std::printf("saturation (closed-loop, window 64): %.2f tps, p99 %.2fs\n\n", sat_tps,
-              sat.stats.latency_quantile_seconds(0.99));
+              sat.stats.latency_quantiles_seconds({0.99})[0]);
   rep.check(sat_tps > 0, "closed-loop saturation measurement produced a positive rate");
 
   std::vector<double> mults = {0.5, 1.0, 2.0, 3.0, 5.0};

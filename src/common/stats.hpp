@@ -41,28 +41,9 @@ struct TxStats {
            (static_cast<double>(committed) * static_cast<double>(kSecond));
   }
 
-  /// q in [0,1]; e.g. 0.5 for the median, 0.99 for p99.  Single-quantile
-  /// selection via nth_element — no full sort, no repeated re-sorting.
-  [[nodiscard]] double latency_quantile_seconds(double q) const {
-    if (commit_latencies.empty()) return 0.0;
-    std::vector<SimTime> samples = commit_latencies;
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const std::size_t idx = static_cast<std::size_t>(pos);
-    std::nth_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(idx),
-                     samples.end());
-    const SimTime lo = samples[idx];
-    const double frac = pos - static_cast<double>(idx);
-    if (frac <= 0.0 || idx + 1 >= samples.size())
-      return static_cast<double>(lo) / static_cast<double>(kSecond);
-    // The next order statistic is the minimum of the partition above idx.
-    const SimTime hi = *std::min_element(samples.begin() + static_cast<std::ptrdiff_t>(idx) + 1,
-                                         samples.end());
-    return (static_cast<double>(lo) * (1.0 - frac) + static_cast<double>(hi) * frac) /
-           static_cast<double>(kSecond);
-  }
-
-  /// Batch variant: sorts the samples once and reads every requested quantile
-  /// from the same order — use this when reporting p50/p99 side by side.
+  /// Each q in [0,1] (0.5 for the median, 0.99 for p99), linearly
+  /// interpolated between the two nearest order statistics.  Sorts the
+  /// samples once and reads every requested quantile from the same order.
   [[nodiscard]] std::vector<double> latency_quantiles_seconds(
       const std::vector<double>& qs) const {
     std::vector<double> out(qs.size(), 0.0);
