@@ -5,15 +5,6 @@
 
 namespace jenga::mempool {
 
-const char* backpressure_name(Backpressure b) {
-  switch (b) {
-    case Backpressure::kNone: return "none";
-    case Backpressure::kSoft: return "soft";
-    case Backpressure::kShed: return "shed";
-  }
-  return "?";
-}
-
 IngressSet::IngressSet(IngressConfig config) : config_(config) {
   pools_.reserve(config_.num_shards);
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) pools_.emplace_back(config_.pool);

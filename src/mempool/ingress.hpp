@@ -42,8 +42,6 @@ enum class Backpressure : std::uint8_t {
   kShed,      // fill ≥ hard: source should not even generate
 };
 
-[[nodiscard]] const char* backpressure_name(Backpressure b);
-
 struct IngressConfig {
   std::uint32_t num_shards = 1;
   MempoolConfig pool;

@@ -202,7 +202,6 @@ class Network {
 
   /// Registers node `id`'s receive handler.  Ids must be dense from 0.
   void register_node(NodeId id, Handler handler);
-  [[nodiscard]] std::size_t node_count() const { return handlers_.size(); }
 
   /// Unicast with full timing + accounting.
   void send(NodeId from, NodeId to, Message msg, TrafficClass cls);
@@ -246,7 +245,6 @@ class Network {
   void send_via_relay(NodeId from, NodeId to, Message msg, TrafficClass cls);
 
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = TrafficStats{}; }
 
   /// Per-node egress accounting (messages/bytes each node has sent), the
   /// measurement behind the dissemination bench's flatness criterion and the
@@ -284,7 +282,6 @@ class Network {
   /// Attaches a passive arrival observer (nullptr detaches); see
   /// ArrivalObserver for the determinism contract.
   void set_arrival_observer(ArrivalObserver* obs) { arrival_observer_ = obs; }
-  [[nodiscard]] ArrivalObserver* arrival_observer() const { return arrival_observer_; }
 
   /// Assigns `nodes` to partition `group`; traffic between nodes in
   /// different groups is blocked in both directions (checked when the send
