@@ -1,13 +1,18 @@
 // Property-based sweeps across systems and seeds: the invariants that must
-// hold for ANY random workload on ANY of the four systems —
+// hold for ANY random workload on ANY of the six systems —
 //   * completion: every submitted tx eventually commits or aborts,
 //   * conservation: Σ balances == initial − fees charged,
 //   * no dangling locks after quiescence,
 //   * chains verify end-to-end,
 //   * determinism: identical seeds give identical outcomes.
+// The sparse sweep spreads 25 txs over 500 accounts; the contended sweep
+// puts 150 txs on 12 accounts and 60 contracts, so txs of one block touch
+// the same balances while others are in flight.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "baselines/cxfunc.hpp"
@@ -33,12 +38,24 @@ struct Outcome {
   bool chains_ok = true;
 };
 
-Outcome run_system(Sys sys, std::uint64_t seed, int num_txs) {
+/// The account and contract universe a run draws from, how far apart its
+/// txs arrive and which share of them are transfers.
+struct Load {
+  std::uint64_t accounts = 500;
+  std::uint64_t contracts = 1200;
+  std::uint32_t max_contracts_per_tx = 5;
+  std::uint32_t max_steps = 10;
+  std::uint64_t gap_min_ms = 200;   // arrival spacing: min + uniform [0, span)
+  std::uint64_t gap_span_ms = 2000;
+  double transfer_share = 0.25;
+};
+
+Outcome run_system(Sys sys, std::uint64_t seed, int num_txs, const Load& load = {}) {
   workload::TraceConfig tc;
-  tc.num_contracts = 1200;
-  tc.num_accounts = 500;
-  tc.max_contracts_per_tx = 5;
-  tc.max_steps = 10;
+  tc.num_contracts = load.contracts;
+  tc.num_accounts = load.accounts;
+  tc.max_contracts_per_tx = load.max_contracts_per_tx;
+  tc.max_steps = load.max_steps;
   workload::TraceGenerator gen(tc, Rng(seed));
 
   sim::Simulator sim;
@@ -81,10 +98,12 @@ Outcome run_system(Sys sys, std::uint64_t seed, int num_txs) {
 
   Rng pick(seed ^ 0xAB);
   for (int i = 0; i < num_txs; ++i) {
-    sim.run_until(sim.now() + static_cast<SimTime>(pick.uniform(2000) + 200) * kMillisecond);
+    sim.run_until(sim.now() +
+                  static_cast<SimTime>(pick.uniform(load.gap_span_ms) + load.gap_min_ms) *
+                      kMillisecond);
     auto tx = std::make_shared<ledger::Transaction>(
-        pick.chance(0.25) ? gen.transfer_tx(sim.now())
-                          : gen.contract_tx(pick.uniform(1'000'000), sim.now()));
+        pick.chance(load.transfer_share) ? gen.transfer_tx(sim.now())
+                                         : gen.contract_tx(pick.uniform(1'000'000), sim.now()));
     if (jenga) {
       jenga->submit(tx);
     } else {
@@ -120,10 +139,14 @@ TEST_P(PropertyTest, InvariantsHold) {
   EXPECT_GT(out.committed, static_cast<std::uint64_t>(n) / 2);
 }
 
-std::string sweep_name(const ::testing::TestParamInfo<std::tuple<Sys, std::uint64_t>>& info) {
+const char* sys_name(Sys sys) {
   static const char* const kNames[] = {"Jenga",  "JengaNoOLS",  "JengaNoNWLS",
                                        "CxFunc", "SingleShard", "Pyramid"};
-  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) + "_seed" +
+  return kNames[static_cast<int>(sys)];
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<std::tuple<Sys, std::uint64_t>>& info) {
+  return std::string(sys_name(std::get<0>(info.param))) + "_seed" +
          std::to_string(std::get<1>(info.param));
 }
 
@@ -134,6 +157,51 @@ INSTANTIATE_TEST_SUITE_P(
                                          Sys::kSingleShard, Sys::kPyramid),
                        ::testing::Values(11u, 42u, 1234u)),
     sweep_name);
+
+// Contended sweep: 150 txs 10-110 ms apart over 12 accounts and 60 contracts,
+// at most 3 contracts and 6 steps per tx, either half transfers or contracts
+// only.  Blocks then hold several txs on one balance, and fees, transfers and
+// contract write-backs land on it while other txs that declare it are in
+// flight.  No commit floor: lock-retry aborts are legitimate here (contended
+// Jenga commits 8-14 of 150 contract-only txs at these seeds).
+enum class Mix { kHalfTransfers, kContractsOnly };
+
+class ContendedPropertyTest
+    : public ::testing::TestWithParam<std::tuple<Sys, Mix, std::uint64_t>> {};
+
+TEST_P(ContendedPropertyTest, CompletesConservesAndReleasesLocks) {
+  const auto [sys, mix, seed] = GetParam();
+  Load load;
+  load.accounts = 12;
+  load.contracts = 60;
+  load.max_contracts_per_tx = 3;
+  load.max_steps = 6;
+  load.gap_min_ms = 10;
+  load.gap_span_ms = 100;
+  load.transfer_share = mix == Mix::kHalfTransfers ? 0.5 : 0.0;
+  const int n = 150;
+  const Outcome out = run_system(sys, seed, n, load);
+  EXPECT_EQ(out.committed + out.aborted, static_cast<std::uint64_t>(n))
+      << "committed=" << out.committed << " aborted=" << out.aborted;
+  EXPECT_EQ(static_cast<std::int64_t>(out.final_balance - (out.initial_balance - out.fees)), 0)
+      << "balance error (final - (initial - fees))";
+  EXPECT_EQ(out.locks, 0u);
+  EXPECT_TRUE(out.chains_ok);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Contended, ContendedPropertyTest,
+    ::testing::Combine(::testing::Values(Sys::kJenga, Sys::kJengaNoLattice,
+                                         Sys::kJengaNoGlobalLogic, Sys::kCxFunc,
+                                         Sys::kSingleShard, Sys::kPyramid),
+                       ::testing::Values(Mix::kHalfTransfers, Mix::kContractsOnly),
+                       ::testing::Values(11u, 42u, 1234u, 2024u)),
+    [](const ::testing::TestParamInfo<std::tuple<Sys, Mix, std::uint64_t>>& info) {
+      return std::string(sys_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == Mix::kHalfTransfers ? "_halfTransfers"
+                                                             : "_contractsOnly") +
+             "_seed" + std::to_string(std::get<2>(info.param));
+    });
 
 TEST(PropertyDeterminism, IdenticalSeedsIdenticalOutcomes) {
   for (Sys sys : {Sys::kJenga, Sys::kCxFunc, Sys::kPyramid}) {
