@@ -1,6 +1,7 @@
 #include "baselines/baseline_base.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "consensus/messages.hpp"
 #include "crypto/sha256.hpp"
@@ -268,33 +269,46 @@ void BaselineSystem::decide(Shard& shard, NodeId node, std::uint64_t height,
 
   BlockCtx ctx;
 
-  // Exec-kind items are gathered into conflict-free segments and executed as
-  // one engine batch.  The serial prologue (prepare) and the effect side
-  // (finish) both run in canonical block order on this thread; a segment is
-  // flushed before any non-exec item and before any item whose declared
-  // footprint (or tx identity) overlaps one already in flight, so the block's
-  // observable effects are exactly those of item-by-item processing.
-  struct SegEntry {
+  // Each run of exec items between two other items is one engine batch.
+  // prepare and finish both run in block order on this thread; finish only
+  // buffers, enqueues and sends, and a tx has at most one live exec item, so
+  // no prepare of the run can observe a finish of it and the block's effects
+  // are exactly those of item-by-item processing.
+  struct Pending {
     const WorkItem* item;
     PreparedExec prep;
-    exec::AccessSet access;
   };
-  std::vector<SegEntry> segment;
-  auto flush_segment = [&]() {
-    if (segment.empty()) return;
+  std::vector<Pending> run;
+  auto flush_run = [&]() {
+    if (run.empty()) return;
     std::vector<exec::Task> tasks;
-    std::vector<std::size_t> slot;
-    for (std::size_t i = 0; i < segment.size(); ++i) {
-      if (segment[i].prep.action != PreparedExec::Action::kRun) continue;
-      tasks.push_back(std::move(segment[i].prep.task));
-      slot.push_back(i);
+    std::vector<std::map<AccountId, std::uint64_t>> inputs;  // balances each task read
+    for (Pending& p : run) {
+      if (p.prep.action != PreparedExec::Action::kRun) continue;
+      inputs.push_back(p.prep.task.input.balances);
+      tasks.push_back(std::move(p.prep.task));
     }
     std::vector<exec::TaskResult> results = exec_engine_->run_batch(std::move(tasks));
-    std::vector<exec::TaskResult*> res_for(segment.size(), nullptr);
-    for (std::size_t k = 0; k < results.size(); ++k) res_for[slot[k]] = &results[k];
-    for (std::size_t i = 0; i < segment.size(); ++i)
-      finish_exec(shard, node, *segment[i].item, segment[i].prep, res_for[i], ctx);
-    segment.clear();
+    std::size_t k = 0;
+    for (Pending& p : run) {
+      if (p.prep.action != PreparedExec::Action::kRun) {
+        retry_or_abort(shard, node, *p.item);
+        continue;
+      }
+      exec::TaskResult& result = results[k];
+      const auto& before = inputs[k++];
+      if (!result.vm.ok()) {
+        broadcast_commit(shard, node, p.item->tx, /*ok=*/false);
+        continue;
+      }
+      // The one write-back rule: drop every balance the VM left unchanged.
+      std::erase_if(result.output.balances, [&](const auto& entry) {
+        const auto it = before.find(entry.first);
+        return it != before.end() && it->second == entry.second;
+      });
+      finish_exec(shard, node, *p.item, p.prep, result, ctx);
+    }
+    run.clear();
   };
 
   for (const WorkItem& item : payload->items) {
@@ -318,28 +332,17 @@ void BaselineSystem::decide(Shard& shard, NodeId node, std::uint64_t height,
       telemetry_.tracer.phase_event(item.tx->hash, ph, shard.id.value, sim_.now());
     }
     if (item.tx && is_exec_item(item)) {
-      exec::AccessSet access = exec::declared_access(*item.tx);
-      access.writes.push_back(exec::tx_key(item.tx->hash));
-      access.normalize();
-      const bool clashes =
-          std::any_of(segment.begin(), segment.end(),
-                      [&](const SegEntry& e) { return exec::conflicts(access, e.access); });
-      if (clashes) flush_segment();
-      SegEntry entry;
-      entry.item = &item;
-      entry.prep = prepare_exec(shard, item);
-      entry.access = std::move(access);
-      segment.push_back(std::move(entry));
+      run.push_back({&item, prepare_exec(shard, item)});
       continue;
     }
-    flush_segment();
+    flush_run();
     if (item.kind == WorkItem::Kind::kTransfer) {
       process_transfer(shard, node, item, ctx);
     } else {
       process_item(shard, node, item, ctx);
     }
   }
-  flush_segment();
+  flush_run();
   for (std::size_t i = 0; i < payload->items.size(); ++i) shard.queue.pop_front();
 
   if (!ctx.committed.empty()) {
@@ -382,7 +385,7 @@ void BaselineSystem::apply_commit(Shard& shard, const WorkItem& item, BlockCtx& 
 }
 
 void BaselineSystem::broadcast_commit(Shard& from_shard, NodeId decider, const TxPtr& tx,
-                                      bool ok) {
+                                      bool ok, const ledger::PortableState& shipped) {
   for (ShardId target : involved_shards(*tx)) {
     WorkItem commit;
     commit.kind = WorkItem::Kind::kCommit;
@@ -390,9 +393,11 @@ void BaselineSystem::broadcast_commit(Shard& from_shard, NodeId decider, const T
     commit.ok = ok;
     if (target == from_shard.id) {
       enqueue(from_shard, std::move(commit));
-    } else {
-      send_cross(decider, from_shard.id, target, std::move(commit));
+      continue;
     }
+    for (const auto& [a, bal] : shipped.balances)
+      if (home_of_account(a) == target) commit.state.balances[a] = bal;
+    send_cross(decider, from_shard.id, target, std::move(commit));
   }
 }
 

@@ -84,18 +84,17 @@ struct WorkItem {
 
 /// Split of an exec-kind work item around the batch engine (src/exec/):
 /// prepare_exec() runs the serial prologue (locks, state slicing, task
-/// assembly), the engine executes the VM part, finish_exec() consumes the
-/// result in canonical block order.
+/// assembly), the engine executes the VM part, and decide() settles the
+/// outcome in block order: a lock conflict retries or aborts, a failed run
+/// aborts, and a successful run goes to finish_exec() holding only the
+/// balances the VM changed.
 struct PreparedExec {
   enum class Action : std::uint8_t {
-    kLockBusy = 0,  // lock conflict: finish retries or aborts
+    kLockBusy = 0,  // lock conflict: retried, then aborted
     kRun,           // task handed to the engine
   };
   Action action = Action::kLockBusy;
   exec::Task task;
-  /// Balances present in the slice before execution; finish drops unchanged
-  /// entries so stale write-backs cannot clobber concurrent fee deductions.
-  std::map<AccountId, std::uint64_t> balance_snapshot;
   std::uint32_t next = 0;  // step cursor after this group (step-group flows)
 };
 
@@ -159,13 +158,18 @@ class BaselineSystem {
 
   /// Batch-execution hooks.  Items for which is_exec_item() returns true are
   /// routed through prepare_exec() → exec::Engine → finish_exec() instead of
-  /// process_item(); decide() keeps canonical block order on both sides and
-  /// flushes the running batch whenever footprints conflict, so the flow is
-  /// serially equivalent and bit-identical for every worker count.
+  /// process_item().  decide() hands each run of exec items between two
+  /// other items to the engine as one batch and calls both hooks in block
+  /// order; finish_exec() only buffers, enqueues and sends, so no prepare
+  /// of the same batch can observe it, and the flow is serially equivalent
+  /// and bit-identical for every worker count.  finish_exec() sees only
+  /// successful runs, with every balance the VM left unchanged dropped:
+  /// baseline accounts are not locked, and writing back a stale balance
+  /// would undo a fee or transfer applied in the meantime.
   [[nodiscard]] virtual bool is_exec_item(const WorkItem&) const { return false; }
   virtual PreparedExec prepare_exec(Shard&, const WorkItem&) { return {}; }
-  virtual void finish_exec(Shard&, NodeId, const WorkItem&, PreparedExec&, exec::TaskResult*,
-                           BlockCtx&) {}
+  virtual void finish_exec(Shard&, NodeId, const WorkItem&, const PreparedExec&,
+                           exec::TaskResult&, BlockCtx&) {}
 
   /// All shards a tx's completion involves (contracts + declared accounts).
   [[nodiscard]] std::vector<ShardId> involved_shards(const ledger::Transaction& tx) const;
@@ -194,8 +198,10 @@ class BaselineSystem {
 
   void tx_shard_finished(const Hash256& tx_hash, bool ok);
   /// Broadcasts kCommit items to every involved shard (cross for others,
-  /// local enqueue for this one).
-  void broadcast_commit(Shard& from_shard, NodeId decider, const TxPtr& tx, bool ok);
+  /// local enqueue for this one); each other shard's item carries the
+  /// balances of `shipped` homed there.
+  void broadcast_commit(Shard& from_shard, NodeId decider, const TxPtr& tx, bool ok,
+                        const ledger::PortableState& shipped = {});
 
   sim::Simulator& sim_;
   sim::Network& net_;

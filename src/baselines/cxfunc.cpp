@@ -13,14 +13,12 @@ std::pair<ShardId, WorkItem> CxFuncSystem::classify_tx(const TxPtr& tx) {
   item.kind = WorkItem::Kind::kStepExec;
   item.tx = tx;
   item.aux = 0;
-  const ShardId first = home_of_contract(tx->contracts[tx->steps.front().contract_slot]);
-  return {first, std::move(item)};
+  return {step_home(*tx, 0), std::move(item)};
 }
 
 PreparedExec CxFuncSystem::prepare_exec(Shard& shard, const WorkItem& item) {
   PreparedExec p;
   const Transaction& tx = *item.tx;
-  const std::uint32_t from = item.aux;
 
   // Lock every declared contract homed here (idempotent re-lock by owner).
   for (auto c : tx.contracts) {
@@ -45,10 +43,15 @@ PreparedExec CxFuncSystem::prepare_exec(Shard& shard, const WorkItem& item) {
   if (const auto buffered = shard.buffered.find(tx.hash); buffered != shard.buffered.end())
     slice.merge(buffered->second);
 
-  std::uint32_t end = from;
-  while (end < tx.steps.size() &&
-         home_of_contract(tx.contracts[tx.steps[end].contract_slot]) == shard.id)
-    ++end;
+  // The group: steps homed here from the item's step on, passing over steps
+  // a committee already ran, up to the first step homed elsewhere.
+  std::uint32_t end = aux_step(item.aux);
+  for (; end < tx.steps.size(); ++end) {
+    const ShardId home = step_home(tx, end);
+    if (ran_by_committee(item.aux, home)) continue;
+    if (home != shard.id) break;
+    p.task.own_steps.push_back(tx.steps[end]);
+  }
 
   p.action = PreparedExec::Action::kRun;
   p.next = end;
@@ -56,54 +59,33 @@ PreparedExec CxFuncSystem::prepare_exec(Shard& shard, const WorkItem& item) {
   p.task.sender = tx.sender;
   p.task.logic.reserve(tx.contracts.size());
   for (auto c : tx.contracts) p.task.logic.push_back(shard.logic.get(c));
-  p.task.steps_view = std::span(tx.steps.data() + from, end - from);
   p.task.limits.gas_limit = tx.gas_limit;
-  // Snapshot balances so untouched ones are NOT written back at commit:
-  // accounts are not locked here, and restoring a stale balance would undo a
-  // concurrent transaction's fee/debit.
-  p.balance_snapshot = slice.balances;
   p.task.input = std::move(slice);
   return p;
 }
 
 void CxFuncSystem::finish_exec(Shard& shard, NodeId decider, const WorkItem& item,
-                               PreparedExec& prep, exec::TaskResult* result, BlockCtx&) {
-  if (prep.action == PreparedExec::Action::kLockBusy) {
-    retry_or_abort(shard, decider, item);
+                               const PreparedExec& prep, exec::TaskResult& result, BlockCtx&) {
+  shard.buffered[item.tx->hash] = std::move(result.output);
+  hand_off(shard, decider, item.tx, pack_aux(aux_bshard(item.aux), prep.next));
+}
+
+void CxFuncSystem::hand_off(Shard& shard, NodeId decider, const TxPtr& tx, std::uint32_t aux) {
+  std::uint32_t next = aux_step(aux);
+  while (next < tx->steps.size() && ran_by_committee(aux, step_home(*tx, next))) ++next;
+  if (next >= tx->steps.size()) {
+    broadcast_commit(shard, decider, tx, /*ok=*/true);
     return;
   }
-  const Transaction& tx = *item.tx;
-  if (result == nullptr || !result->vm.ok()) {
-    broadcast_commit(shard, decider, item.tx, /*ok=*/false);
-    return;
-  }
-  PortableState updated = std::move(result->output);
-  for (const auto& [a, bal] : prep.balance_snapshot) {
-    const auto it = updated.balances.find(a);
-    if (it != updated.balances.end() && it->second == bal) updated.balances.erase(it);
-  }
-  shard.buffered[tx.hash] = std::move(updated);
-  if (prep.next >= tx.steps.size()) {
-    broadcast_commit(shard, decider, item.tx, /*ok=*/true);
-    return;
-  }
-  WorkItem hand_off;
-  hand_off.kind = WorkItem::Kind::kStepExec;
-  hand_off.tx = item.tx;
-  hand_off.aux = prep.next;
-  send_cross(decider, shard.id,
-             home_of_contract(tx.contracts[tx.steps[prep.next].contract_slot]),
-             std::move(hand_off));
+  WorkItem item;
+  item.kind = WorkItem::Kind::kStepExec;
+  item.tx = tx;
+  item.aux = pack_aux(aux_bshard(aux), next);
+  send_cross(decider, shard.id, step_home(*tx, next), std::move(item));
 }
 
 void CxFuncSystem::process_item(Shard& shard, NodeId, const WorkItem& item, BlockCtx& ctx) {
-  switch (item.kind) {
-    case WorkItem::Kind::kCommit:
-      apply_commit(shard, item, ctx);
-      break;
-    default:
-      break;
-  }
+  if (item.kind == WorkItem::Kind::kCommit) apply_commit(shard, item, ctx);
 }
 
 }  // namespace jenga::baselines

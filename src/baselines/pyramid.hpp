@@ -6,24 +6,23 @@
 // contract transaction is routed to the b-shard covering the most of its
 // declared contracts: the in-span part executes in ONE consensus round on
 // the merged committee (it has all the needed state/logic), the out-of-span
-// remainder falls back to CX Func-style sequential step groups, and one
-// final cross-shard commit round applies buffered updates everywhere — the
-// paper's observation that "merged shards cannot cover all transactions"
-// made concrete.  The price is per-node storage that grows with the span
-// (Fig. 7a's rising curve): every node carries `merge_span` shard-shares.
+// remainder runs CX Func's step groups (cxfunc.hpp), which pass over the
+// in-span steps, and one final cross-shard commit round applies buffered
+// updates everywhere — the paper's observation that "merged shards cannot
+// cover all transactions" made concrete.  The price is per-node storage that
+// grows with the span (Fig. 7a's rising curve): every node carries
+// `merge_span` shard-shares.
 #pragma once
 
-#include "baselines/baseline_base.hpp"
+#include "baselines/cxfunc.hpp"
 
 namespace jenga::baselines {
 
-class PyramidSystem final : public BaselineSystem {
+class PyramidSystem final : public CxFuncSystem {
  public:
   PyramidSystem(sim::Simulator& sim, sim::Network& net, telemetry::Telemetry& telemetry,
                 BaselineConfig config, Genesis genesis)
-      : BaselineSystem(sim, net, telemetry, config, std::move(genesis)) {
-    place_contracts();
-  }
+      : CxFuncSystem(sim, net, telemetry, config, std::move(genesis)) {}
 
   /// Per-node storage including the merged-committee replication overhead.
   [[nodiscard]] StorageReport storage_report() const override;
@@ -38,25 +37,21 @@ class PyramidSystem final : public BaselineSystem {
 
  protected:
   std::pair<ShardId, WorkItem> classify_tx(const TxPtr& tx) override;
-  void process_item(Shard& shard, NodeId decider, const WorkItem& item,
-                    BlockCtx& ctx) override;
 
-  /// Both VM-carrying kinds go through the batch engine: kExec (the merged
-  /// committee's in-span round) and kStepExec (out-of-span step groups).
+  /// kExec (the merged committee's in-span round, aux = b-shard) goes through
+  /// the batch engine here; kStepExec is CX Func's.
   [[nodiscard]] bool is_exec_item(const WorkItem& item) const override {
-    return item.kind == WorkItem::Kind::kExec || item.kind == WorkItem::Kind::kStepExec;
+    return item.kind == WorkItem::Kind::kExec || CxFuncSystem::is_exec_item(item);
   }
   PreparedExec prepare_exec(Shard& shard, const WorkItem& item) override;
-  void finish_exec(Shard& shard, NodeId decider, const WorkItem& item, PreparedExec& prep,
-                   exec::TaskResult* result, BlockCtx& ctx) override;
+  void finish_exec(Shard& shard, NodeId decider, const WorkItem& item, const PreparedExec& prep,
+                   exec::TaskResult& result, BlockCtx& ctx) override;
 
- private:
-  /// Index of the first step at or after `from` whose home lies outside
-  /// b-shard `b`'s span; tx.steps.size() if none.
-  [[nodiscard]] std::uint32_t next_out_of_span_step(const ledger::Transaction& tx,
-                                                    std::uint32_t b, std::uint32_t from) const;
-  void continue_out_of_span(Shard& shard, NodeId decider, const WorkItem& item,
-                            std::uint32_t from);
+  /// The merged committee of b-shard aux_bshard(aux) ran every step homed in
+  /// its span.
+  [[nodiscard]] bool ran_by_committee(std::uint32_t aux, ShardId home) const override {
+    return in_span(aux_bshard(aux), home);
+  }
 };
 
 }  // namespace jenga::baselines

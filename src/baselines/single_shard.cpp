@@ -92,41 +92,15 @@ PreparedExec SingleShardSystem::prepare_exec(Shard& shard, const WorkItem& item)
 }
 
 void SingleShardSystem::finish_exec(Shard& shard, NodeId decider, const WorkItem& item,
-                                    PreparedExec& prep, exec::TaskResult* result, BlockCtx&) {
-  if (prep.action == PreparedExec::Action::kLockBusy) {
-    retry_or_abort(shard, decider, item);
-    return;
-  }
-  const Transaction& tx = *item.tx;
-  const bool ok = result != nullptr && result->vm.ok();
-  PortableState bundle;
-  if (ok) bundle = std::move(result->output);
-  if (ok) {
-    // Buffer the contract-side updates locally for the commit round
-    // (locally-homed balances included: the sender is locked above).
-    PortableState local;
-    local.contracts = bundle.contracts;
-    for (const auto& [a, bal] : bundle.balances)
-      if (home_of_account(a) == shard.id) local.balances[a] = bal;
-    shard.buffered[tx.hash] = std::move(local);
-  }
-  // Commit fan-out, shipping each foreign account shard its balance back.
-  for (ShardId target : involved_shards(tx)) {
-    WorkItem commit;
-    commit.kind = WorkItem::Kind::kCommit;
-    commit.tx = item.tx;
-    commit.ok = ok;
-    if (ok) {
-      for (const auto& [a, bal] : bundle.balances)
-        if (home_of_account(a) == target && !(target == shard.id))
-          commit.state.balances[a] = bal;
-    }
-    if (target == shard.id) {
-      enqueue(shard, std::move(commit));
-    } else {
-      send_cross(decider, shard.id, target, std::move(commit));
-    }
-  }
+                                    const PreparedExec&, exec::TaskResult& result, BlockCtx&) {
+  // Buffer the contract states and the balances homed here for the commit
+  // round; each other changed balance rides its account shard's commit.
+  PortableState local;
+  local.contracts = std::move(result.output.contracts);
+  for (const auto& [a, bal] : result.output.balances)
+    if (home_of_account(a) == shard.id) local.balances[a] = bal;
+  shard.buffered[item.tx->hash] = std::move(local);
+  broadcast_commit(shard, decider, item.tx, /*ok=*/true, result.output);
 }
 
 }  // namespace jenga::baselines

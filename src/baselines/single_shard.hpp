@@ -33,8 +33,8 @@ class SingleShardSystem final : public BaselineSystem {
     return item.kind == WorkItem::Kind::kExec;
   }
   PreparedExec prepare_exec(Shard& shard, const WorkItem& item) override;
-  void finish_exec(Shard& shard, NodeId decider, const WorkItem& item, PreparedExec& prep,
-                   exec::TaskResult* result, BlockCtx& ctx) override;
+  void finish_exec(Shard& shard, NodeId decider, const WorkItem& item, const PreparedExec& prep,
+                   exec::TaskResult& result, BlockCtx& ctx) override;
 };
 
 }  // namespace jenga::baselines

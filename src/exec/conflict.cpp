@@ -20,30 +20,6 @@ void AccessSet::normalize() {
   reads = std::move(pure);
 }
 
-namespace {
-
-bool sorted_intersect(const std::vector<ResourceKey>& a, const std::vector<ResourceKey>& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-bool conflicts(const AccessSet& a, const AccessSet& b) {
-  return sorted_intersect(a.writes, b.writes) || sorted_intersect(a.writes, b.reads) ||
-         sorted_intersect(a.reads, b.writes);
-}
-
 AccessSet declared_access(const ledger::Transaction& tx) {
   AccessSet s;
   s.writes.reserve(tx.contracts.size() + tx.accounts.size() + 1);

@@ -1,11 +1,12 @@
-// Conflict analysis over declared read/write sets (DESIGN.md §7).
+// Declared state footprint of a transaction (DESIGN.md §7).
 //
 // Transactions declare their state footprint up front (`Transaction.contracts`
-// / `.accounts`, enforced by PortableStateView's kUndeclaredAccess abort), so
-// whether two transactions of a block may interleave is statically known:
-// write-write and read-write overlaps conflict, read-read does not.  The
-// baselines cut each decided block into segments of mutually non-conflicting
-// items with this test, so every batch they hand exec::Engine is disjoint.
+// / `.accounts`, enforced by PortableStateView's kUndeclaredAccess abort).
+// No system reads it: the engine runs each task on its own bundle and never
+// orders tasks (exec/engine.hpp).  This file stays only because the
+// benchmark's exec-layer probe (bench/suite/layers.cpp) fills
+// `exec::Task::access` with declared_access(); once that line goes, this
+// file and `Task::access` go with it.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,7 @@
 namespace jenga::exec {
 
 /// A resource a task reads or writes, folded into one flat id space.  The top
-/// two bits tag the category so contract, account and transaction keys can
-/// never collide across categories.
+/// two bits tag the category so contract and account keys can never collide.
 using ResourceKey = std::uint64_t;
 
 [[nodiscard]] constexpr ResourceKey contract_key(ContractId c) {
@@ -26,13 +26,6 @@ using ResourceKey = std::uint64_t;
 }
 [[nodiscard]] constexpr ResourceKey account_key(AccountId a) {
   return (1ULL << 62) | a.value;
-}
-/// Serializes work items belonging to the same transaction (the baselines can
-/// carry one tx through several items of a single block, each reading the
-/// previous item's buffered output).  Prefix collisions between distinct
-/// hashes only over-serialize — never miss a real conflict.
-[[nodiscard]] inline ResourceKey tx_key(const Hash256& h) {
-  return (3ULL << 62) | (h.prefix_u64() >> 2);
 }
 
 /// Declared footprint of one task, split into read and write keys.
@@ -43,10 +36,6 @@ struct AccessSet {
   /// Sorts, dedups, and drops reads shadowed by writes of the same key.
   void normalize();
 };
-
-/// Write-write or read-write overlap on any key (both sets must be
-/// normalized).  Read-read sharing is not a conflict.
-[[nodiscard]] bool conflicts(const AccessSet& a, const AccessSet& b);
 
 /// The conservative footprint of a whole transaction: the VM may write any
 /// declared resource (the view enforces nothing finer than the declaration),

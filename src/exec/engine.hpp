@@ -8,10 +8,13 @@
 // bit-identical to a serial one.  The calling thread claims tasks too, so
 // `workers == 1` spawns no threads at all and is exactly the serial path.
 //
-// Every system hands in disjoint bundles: Jenga's pre-prepare locks each state
-// a transaction touches, and the baselines cut each block into segments of
-// non-conflicting items (exec/conflict.hpp).  Tasks that call one contract
-// read its vm::ContractLogic concurrently; the VM never writes it.
+// Each task owns its input bundle, so tasks of one batch may name the same
+// contract or account and each sees only its own copy.  Jenga's pre-prepare
+// locks each state a transaction touches before its channel executes it; a
+// baseline hands in each run of exec items of a decided block, every bundle
+// copied from its shard in block order (baselines/baseline_base.hpp).  Tasks
+// that call one contract read its vm::ContractLogic concurrently; the VM
+// never writes it.
 //
 // Threading contract: run_batch() blocks until the whole batch finished;
 // claims are taken under one mutex (cheap next to a VM run), each task/result

@@ -1,7 +1,6 @@
-// Deterministic parallel execution engine (src/exec/): conflict analysis over
-// declared read/write sets, engine semantics (results in input order, each
-// task on its own input), batch-size telemetry, and the headline acceptance
-// property — same-seed runs of Jenga and every baseline are bit-identical
+// Deterministic parallel execution engine (src/exec/): declared read/write
+// sets, engine semantics (results in input order, each task on its own
+// input), batch-size telemetry, and the headline acceptance property — same-seed runs of Jenga and every baseline are bit-identical
 // (ledger digest AND metrics snapshot) across exec worker counts 1, 2 and 8.
 #include <gtest/gtest.h>
 
@@ -22,7 +21,7 @@ namespace {
 using ledger::PortableState;
 
 // ---------------------------------------------------------------------------
-// Conflict analysis
+// Declared footprints
 // ---------------------------------------------------------------------------
 
 TEST(Conflict, NormalizeSortsDedupsAndShadowsReads) {
@@ -33,22 +32,6 @@ TEST(Conflict, NormalizeSortsDedupsAndShadowsReads) {
   EXPECT_EQ(s.writes, (std::vector<ResourceKey>{3, 5}));
   // 3 is written too, so it behaves as a write and leaves the read set.
   EXPECT_EQ(s.reads, (std::vector<ResourceKey>{7, 9}));
-}
-
-TEST(Conflict, WriteWriteAndReadWriteConflictReadReadDoesNot) {
-  AccessSet wx, wx2, rx, rx2, wy;
-  wx.writes = {1};
-  wx2.writes = {1};
-  rx.reads = {1};
-  rx2.reads = {1};
-  wy.writes = {2};
-  for (AccessSet* s : {&wx, &wx2, &rx, &rx2, &wy}) s->normalize();
-
-  EXPECT_TRUE(conflicts(wx, wx2));   // write-write
-  EXPECT_TRUE(conflicts(wx, rx));    // write-read
-  EXPECT_TRUE(conflicts(rx, wx));    // read-write
-  EXPECT_FALSE(conflicts(rx, rx2));  // read-read shares fine
-  EXPECT_FALSE(conflicts(wx, wy));   // disjoint
 }
 
 TEST(Conflict, DeclaredAccessCoversContractsAccountsAndSender) {
@@ -67,10 +50,6 @@ TEST(Conflict, DeclaredAccessCoversContractsAccountsAndSender) {
 
 TEST(Conflict, ResourceKeyCategoriesNeverCollide) {
   EXPECT_NE(contract_key(ContractId{42}), account_key(AccountId{42}));
-  Hash256 h{};
-  h.bytes[0] = 42;
-  EXPECT_NE(tx_key(h), contract_key(ContractId{42}));
-  EXPECT_NE(tx_key(h), account_key(AccountId{42}));
 }
 
 // ---------------------------------------------------------------------------
