@@ -45,7 +45,6 @@ struct BaselineConfig {
   std::uint64_t seed = 1;
   std::uint32_t max_block_items = 4096;
   SimTime view_timeout = 120 * kSecond;
-  SimTime pending_timeout = 90 * kSecond;
   CrossShardMode cross_mode = CrossShardMode::kClientRelay;
   /// Lock conflicts re-enqueue the item this many times before aborting.
   std::uint32_t max_lock_retries = 24;
