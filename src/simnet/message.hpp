@@ -28,16 +28,15 @@ enum class MsgType : std::uint16_t {
   kBftSyncRequest = 17,   // recovering replica asks a peer for decided heights
   kBftSyncResponse = 18,  // (value, commit cert) entries for missed heights
 
-  // Jenga cross-shard protocol (travels via subgroup members, §V-C)
+  // Jenga cross-shard protocol (travels via subgroup members, §V-C); a grant
+  // with `available = false` asks for an abort, a result with `ok = false`
+  // carries one.
   kStateGrant = 30,      // state shard -> execution channel (state + lock proof)
-  kAbortRequest = 31,    // state shard -> execution channel (state unavailable)
   kExecResult = 32,      // execution channel -> state shards (state updates)
-  kExecAbort = 33,       // execution channel -> state shards (abort)
 
-  // Baseline cross-shard traffic
-  kSubTxResult = 40,     // CX Func: intermediate result hand-off between shards
-  kStateMove = 41,       // Single Shard: account state in/out of the contract shard
-  kMergedCommit = 42,    // Pyramid: cross-shard commit round after merged execution
+  // Cross-shard hand-offs outside the grant/result exchange
+  kSubTxResult = 40,     // every baseline work item sent between shards, plus
+                         // Jenga w/o NWLS step continuations
   kTwoPcPrepare = 43,    // transfer txs: classic 2PC prepare
   kTwoPcCommit = 44,     // transfer txs: classic 2PC commit
 
@@ -67,12 +66,8 @@ enum class MsgType : std::uint16_t {
     case MsgType::kBftSyncRequest: return "bft_sync_request";
     case MsgType::kBftSyncResponse: return "bft_sync_response";
     case MsgType::kStateGrant: return "state_grant";
-    case MsgType::kAbortRequest: return "abort_request";
     case MsgType::kExecResult: return "exec_result";
-    case MsgType::kExecAbort: return "exec_abort";
     case MsgType::kSubTxResult: return "subtx_result";
-    case MsgType::kStateMove: return "state_move";
-    case MsgType::kMergedCommit: return "merged_commit";
     case MsgType::kTwoPcPrepare: return "twopc_prepare";
     case MsgType::kTwoPcCommit: return "twopc_commit";
     case MsgType::kEpochVrf: return "epoch_vrf";
