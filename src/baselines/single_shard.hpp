@@ -4,9 +4,9 @@
 // All contract state and logic live on shard 0.  Before a contract tx runs,
 // the sender's account shard locks the balance and ships it to shard 0
 // (MoveOut round + cross-shard message); shard 0 executes everything in one
-// consensus round; the commit round fans out, carrying the updated balance
-// back to the account shard.  Contract-processing capacity therefore never
-// scales with the shard count.
+// consensus round; the commit round fans out, carrying each balance the VM
+// changed back to its account shard.  Contract-processing capacity therefore
+// never scales with the shard count.
 #pragma once
 
 #include "baselines/baseline_base.hpp"
